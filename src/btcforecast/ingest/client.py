@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -48,12 +50,18 @@ def poll(
 ) -> int:
     """Fetch once per poll_interval and append to the sink until stopped.
 
+    Polls start at fixed monotonic deadlines, start + k * poll_interval, so
+    fetch latency does not stretch the period. A fetch that overruns one or
+    more deadlines skips those slots rather than polling in a burst.
+
     Fetch and schema failures (and out-of-order duplicates) are logged and
     skipped; the loop never breaks on them. Sink write failures are fatal.
     Returns the number of records successfully appended.
     """
     appended = 0
     polls = 0
+    start = time.monotonic()
+    slot = 0
     while not stop.is_set():
         if max_polls is not None and polls >= max_polls:
             break
@@ -70,6 +78,8 @@ def poll(
                 log.warning("poll %s: record dropped: %s", config.name, e)
         if max_polls is not None and polls >= max_polls:
             break
-        if stop.wait(config.poll_interval):
+        now = time.monotonic()
+        slot = max(slot + 1, math.ceil((now - start) / config.poll_interval))
+        if stop.wait(start + slot * config.poll_interval - now):
             break
     return appended

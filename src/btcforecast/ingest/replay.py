@@ -27,6 +27,8 @@ ROUTES = {
     "/ticker": BLOCKCHAIN_QUOTES,
 }
 TWEETS_PATH = "/tweets"
+# How often serve_forever checks for shutdown; stop() waits up to this long.
+_SHUTDOWN_POLL_S = 0.05
 
 
 class ReplayServer:
@@ -58,7 +60,9 @@ class ReplayServer:
         raise ValueError(f"no route serves schema {schema!r}")
 
     def start(self) -> "ReplayServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_SHUTDOWN_POLL_S,), daemon=True
+        )
         self._thread.start()
         return self
 

@@ -1,13 +1,17 @@
 """Single-layer LSTM with a dense head, trained by full-batch BPTT + Adam.
 
-The cell follows the standard formulation: per step, with z = [h; x],
+The four gates share one stacked weight W (4H x (H+F)) and bias b (4H),
+with row blocks in f, i, o, g order. Per step, with z = [h; x],
 
-    f, i, o = sigmoid(W. @ z + b.)      (forget / input / output gates)
-    g       = tanh(Wg @ z + bg)         (candidate)
+    a       = W @ z + b
+    f, i, o = sigmoid(a[0:H]), sigmoid(a[H:2H]), sigmoid(a[2H:3H])
+    g       = tanh(a[3H:4H])                (candidate)
     c       = f * c_prev + i * g
     h       = o * tanh(c)
 
-and prediction = Wd @ h_last + bd after the final step. Training minimizes
+and prediction = Wd @ h_last + bd after the final step. The batch runs on
+the last axis: h and c are (H, n), z is (H+F, n), so one W @ z per step
+gives all four gates, each a contiguous row block of a. Training minimizes
 mean absolute error with one Adam step per epoch (full batch), which makes
 runs bit-reproducible for a fixed seed. Everything is float64.
 """
@@ -22,7 +26,8 @@ import numpy as np
 
 from .dataset import SupervisedDataset, unscale_column
 
-PARAM_NAMES = ("Wf", "Wi", "Wo", "Wg", "bf", "bi", "bo", "bg", "Wd", "bd")
+PARAM_NAMES = ("W", "b", "Wd", "bd")
+MODEL_FILE_VERSION = "2"
 
 
 class TrainingDiverged(RuntimeError):
@@ -49,17 +54,12 @@ class LstmConfig:
 
 @dataclass
 class LstmModel:
-    """All cell parameters. Gate weights act on z = [h; x], so their shape
-    is (hidden, hidden + n_features)."""
+    """All cell parameters. W stacks the f, i, o, g gate weights row-wise and
+    acts on z = [h; x], so its shape is (4 * hidden, hidden + n_features);
+    b is the matching (4 * hidden,) bias."""
 
-    Wf: np.ndarray
-    Wi: np.ndarray
-    Wo: np.ndarray
-    Wg: np.ndarray
-    bf: np.ndarray
-    bi: np.ndarray
-    bo: np.ndarray
-    bg: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
     Wd: np.ndarray
     bd: np.ndarray
     n_features: int
@@ -115,41 +115,29 @@ def init(config: LstmConfig) -> LstmModel:
     rng = np.random.default_rng(config.seed)
     h, f = config.hidden_size, config.n_features
     k = 1.0 / np.sqrt(h)
-
-    def w(*shape):
-        return rng.uniform(-k, k, size=shape)
-
+    W = rng.uniform(-k, k, size=(4 * h, h + f))
+    Wd = rng.uniform(-k, k, size=(1, h))
     return LstmModel(
-        Wf=w(h, h + f),
-        Wi=w(h, h + f),
-        Wo=w(h, h + f),
-        Wg=w(h, h + f),
-        bf=np.zeros(h),
-        bi=np.zeros(h),
-        bo=np.zeros(h),
-        bg=np.zeros(h),
-        Wd=w(1, h),
-        bd=np.zeros(1),
-        n_features=f,
-        hidden_size=h,
-        lag=config.lag,
+        W=W, b=np.zeros(4 * h), Wd=Wd, bd=np.zeros(1), n_features=f, hidden_size=h, lag=config.lag
     )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_inplace(x: np.ndarray) -> None:
+    """x <- 1 / (1 + exp(-x)). In place because the (3H, n) temporaries of
+    the plain expression, made at every step, raised peak RSS by about 3 MB."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
 
 
 @dataclass
 class _Cache:
-    z: list[np.ndarray]       # (n, h+f) per step
-    f: list[np.ndarray]
-    i: list[np.ndarray]
-    o: list[np.ndarray]
-    g: list[np.ndarray]
+    z: list[np.ndarray]       # (h+f, n) per step
+    gates: list[np.ndarray]   # (4h, n) per step: activated f, i, o, g rows
     c_prev: list[np.ndarray]
     tanh_c: list[np.ndarray]
-    h_last: np.ndarray
+    h_last: np.ndarray        # (h, n)
 
 
 def _forward_batch(model: LstmModel, windows: np.ndarray) -> tuple[np.ndarray, _Cache]:
@@ -161,63 +149,54 @@ def _forward_batch(model: LstmModel, windows: np.ndarray) -> tuple[np.ndarray, _
     if not np.isfinite(windows).all():
         raise ValueError("non-finite input window")
 
-    H = np.zeros((n, h))
-    C = np.zeros((n, h))
-    cache = _Cache([], [], [], [], [], [], [], H)
+    H = np.zeros((h, n))
+    C = np.zeros((h, n))
+    b = model.b[:, None]
+    cache = _Cache([], [], [], [], H)
     for t in range(lag):
-        z = np.concatenate([H, windows[:, t, :]], axis=1)
-        ft = _sigmoid(z @ model.Wf.T + model.bf)
-        it = _sigmoid(z @ model.Wi.T + model.bi)
-        ot = _sigmoid(z @ model.Wo.T + model.bo)
-        gt = np.tanh(z @ model.Wg.T + model.bg)
+        z = np.concatenate([H, windows[:, t, :].T], axis=0)
+        gates = model.W @ z
+        gates += b
+        _sigmoid_inplace(gates[: 3 * h])
+        np.tanh(gates[3 * h :], out=gates[3 * h :])
+        ft, it, ot, gt = np.split(gates, 4)
         cache.z.append(z)
-        cache.f.append(ft)
-        cache.i.append(it)
-        cache.o.append(ot)
-        cache.g.append(gt)
+        cache.gates.append(gates)
         cache.c_prev.append(C)
         C = ft * C + it * gt
         tanh_c = np.tanh(C)
         cache.tanh_c.append(tanh_c)
         H = ot * tanh_c
     cache.h_last = H
-    pred = H @ model.Wd.T + model.bd
-    return pred[:, 0], cache
+    pred = model.Wd @ H + model.bd[:, None]
+    return pred[0], cache
 
 
 def _backward_batch(model: LstmModel, cache: _Cache, d_pred: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients, summed over the batch weighted by d_pred."""
     h = model.hidden_size
-    lag = len(cache.z)
     grads = {name: np.zeros_like(p) for name, p in model.params().items()}
 
-    grads["Wd"] += d_pred[None, :] @ cache.h_last
+    grads["Wd"] += d_pred[None, :] @ cache.h_last.T
     grads["bd"] += d_pred.sum(keepdims=True)
-    dH = np.outer(d_pred, model.Wd[0])
+    dH = np.outer(model.Wd[0], d_pred)
     dC = np.zeros_like(dH)
-    for t in reversed(range(lag)):
-        ft, it, ot, gt = cache.f[t], cache.i[t], cache.o[t], cache.g[t]
+    W_h = model.W[:, :h]
+    # gradient w.r.t. the pre-activations a, in the f, i, o, g rows of W;
+    # each step overwrites it through the four row-block views
+    da = np.empty((4 * h, len(d_pred)))
+    da_f, da_i, da_o, da_g = np.split(da, 4)
+    for t in reversed(range(len(cache.z))):
+        ft, it, ot, gt = np.split(cache.gates[t], 4)
         tanh_c = cache.tanh_c[t]
-        dO = dH * tanh_c
         dC = dC + dH * ot * (1.0 - tanh_c * tanh_c)
-        dF = dC * cache.c_prev[t]
-        dI = dC * gt
-        dG = dC * it
-        da_f = dF * ft * (1.0 - ft)
-        da_i = dI * it * (1.0 - it)
-        da_o = dO * ot * (1.0 - ot)
-        da_g = dG * (1.0 - gt * gt)
-        z = cache.z[t]
-        grads["Wf"] += da_f.T @ z
-        grads["Wi"] += da_i.T @ z
-        grads["Wo"] += da_o.T @ z
-        grads["Wg"] += da_g.T @ z
-        grads["bf"] += da_f.sum(axis=0)
-        grads["bi"] += da_i.sum(axis=0)
-        grads["bo"] += da_o.sum(axis=0)
-        grads["bg"] += da_g.sum(axis=0)
-        dz = da_f @ model.Wf + da_i @ model.Wi + da_o @ model.Wo + da_g @ model.Wg
-        dH = dz[:, :h]
+        da_f[:] = dC * cache.c_prev[t] * ft * (1.0 - ft)
+        da_i[:] = dC * gt * it * (1.0 - it)
+        da_o[:] = dH * tanh_c * ot * (1.0 - ot)
+        da_g[:] = dC * it * (1.0 - gt * gt)
+        grads["W"] += da @ cache.z[t].T
+        grads["b"] += da.sum(axis=1)
+        dH = W_h.T @ da
         dC = dC * ft
     return grads
 
@@ -298,8 +277,7 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
 
 def predict_series(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
     """One prediction per sample, inverse-scaled to original USD units."""
-    preds, _ = _forward_batch(model, np.asarray(dataset.inputs, dtype=np.float64))
-    return unscale_column(preds, dataset.scaler, "price")
+    return unscale_column(predict_scaled(model, dataset), dataset.scaler, "price")
 
 
 def predict_scaled(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
@@ -309,10 +287,11 @@ def predict_scaled(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
 
 
 def save_model(model: LstmModel, path: str | Path) -> None:
-    """Flat text format: a header line, then per tensor a ``name dims...``
-    line followed by the row-major values."""
+    """Flat text format: a ``btcforecast-lstm 2`` line, the n_features,
+    hidden_size and lag lines, then per tensor a ``name dims...`` line
+    followed by the row-major values."""
     lines = [
-        "btcforecast-lstm 1",
+        f"btcforecast-lstm {MODEL_FILE_VERSION}",
         f"n_features {model.n_features}",
         f"hidden_size {model.hidden_size}",
         f"lag {model.lag}",
@@ -325,13 +304,23 @@ def save_model(model: LstmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LstmModel:
+    """Read a file written by save_model; any other version, a missing or
+    extra tensor, or a tensor shape that disagrees with the header raises
+    ValueError."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("btcforecast-lstm"):
+    magic = lines[0].split() if lines else []
+    if len(magic) != 2 or magic[0] != "btcforecast-lstm":
         raise ValueError(f"not a model file: {path}")
+    if magic[1] != MODEL_FILE_VERSION:
+        raise ValueError(
+            f"{path}: model file version {magic[1]} is not supported (expected {MODEL_FILE_VERSION})"
+        )
     meta = {}
     for line in lines[1:4]:
         key, value = line.split()
         meta[key] = int(value)
+    if set(meta) != {"n_features", "hidden_size", "lag"}:
+        raise ValueError(f"{path}: expected n_features, hidden_size and lag header lines")
     tensors: dict[str, np.ndarray] = {}
     i = 4
     while i < len(lines):
@@ -340,10 +329,19 @@ def load_model(path: str | Path) -> LstmModel:
             continue
         head = lines[i].split()
         name, shape = head[0], tuple(int(d) for d in head[1:])
+        if i + 1 == len(lines):
+            raise ValueError(f"{path}: tensor {name} has no values line")
         values = np.array([float(v) for v in lines[i + 1].split()])
         tensors[name] = values.reshape(shape)
         i += 2
-    missing = set(PARAM_NAMES) - set(tensors)
-    if missing:
-        raise ValueError(f"model file missing tensors: {sorted(missing)}")
+    if set(tensors) != set(PARAM_NAMES):
+        raise ValueError(f"{path}: expected tensors {list(PARAM_NAMES)}, found {sorted(tensors)}")
+    h, f = meta["hidden_size"], meta["n_features"]
+    expected = {"W": (4 * h, h + f), "b": (4 * h,), "Wd": (1, h), "bd": (1,)}
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise ValueError(
+                f"{path}: tensor {name} has shape {tensors[name].shape}, but hidden_size {h} "
+                f"and n_features {f} need {shape}"
+            )
     return LstmModel(**tensors, **meta)

@@ -3,9 +3,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from btcforecast.ingest import client
 from btcforecast.ingest import (
     BITSTAMP_TICKER,
     BLOCKCHAIN_QUOTES,
@@ -252,6 +254,39 @@ class TestPoll:
         count = poll(_config(replay_server, BITSTAMP_TICKER), log, threading.Event(), max_polls=5)
         assert count == 3
         assert len(log.read()) == 3
+
+    def test_cadence_holds_against_fetch_latency(self, monkeypatch):
+        """Polls start at start + k * interval whatever the fetch takes, and
+        a fetch that overruns deadlines skips those slots instead of bursting."""
+        clock = SimpleNamespace(now=100.0)
+        fetch_seconds = iter([0.2, 0.3, 2.5, 0.1, 0.0])
+        fetch_starts = []
+
+        def fake_fetch(config):
+            fetch_starts.append(clock.now)
+            clock.now += next(fetch_seconds)
+            return object()
+
+        class RecordingStop:
+            def __init__(self):
+                self.timeouts = []
+
+            def is_set(self):
+                return False
+
+            def wait(self, timeout):
+                self.timeouts.append(timeout)
+                clock.now += timeout
+                return False
+
+        monkeypatch.setattr(client, "time", SimpleNamespace(monotonic=lambda: clock.now))
+        monkeypatch.setattr(client, "fetch_once", fake_fetch)
+        cfg = SourceConfig("fake", "http://unused/", BITSTAMP_TICKER, poll_interval=1.0)
+        stop = RecordingStop()
+        assert poll(cfg, [], stop, max_polls=5) == 5
+        assert stop.timeouts == pytest.approx([0.8, 0.7, 0.5, 0.9])
+        # the 2.5 s fetch at 102 overran the slots at 103 and 104
+        assert fetch_starts == pytest.approx([100.0, 101.0, 102.0, 105.0, 106.0])
 
     def test_concurrent_pollers_one_writer_each(self, replay_server, tmp_path):
         results = {}

@@ -36,6 +36,11 @@ def _zero_model(hidden=3, features=1, lag=2):
     return model.with_params({k: np.zeros_like(v) for k, v in model.params().items()})
 
 
+def _gate_blocks(model: LstmModel):
+    """(W, b) row blocks of the stacked gate parameters, in f, i, o, g order."""
+    return list(zip(np.split(model.W, 4), np.split(model.b, 4)))
+
+
 def _oracle_forward(model: LstmModel, window) -> float:
     """Independent plain-Python recomputation of the cell recurrences."""
     h = model.hidden_size
@@ -51,10 +56,11 @@ def _oracle_forward(model: LstmModel, window) -> float:
         def gate(W, b, fn):
             return [fn(sum(W[r][j] * z[j] for j in range(len(z))) + b[r]) for r in range(h)]
 
-        f = gate(model.Wf, model.bf, sig)
-        i = gate(model.Wi, model.bi, sig)
-        o = gate(model.Wo, model.bo, sig)
-        g = gate(model.Wg, model.bg, math.tanh)
+        (Wf, bf), (Wi, bi), (Wo, bo), (Wg, bg) = _gate_blocks(model)
+        f = gate(Wf, bf, sig)
+        i = gate(Wi, bi, sig)
+        o = gate(Wo, bo, sig)
+        g = gate(Wg, bg, math.tanh)
         C = [f[r] * C[r] + i[r] * g[r] for r in range(h)]
         H = [o[r] * math.tanh(C[r]) for r in range(h)]
     return sum(model.Wd[0][r] * H[r] for r in range(h)) + float(model.bd[0])
@@ -69,16 +75,28 @@ class TestInit:
 
     def test_gate_weight_shape(self):
         model = init(LstmConfig(n_features=2, hidden_size=32))
-        assert model.Wf.shape == (32, 34)
+        assert model.W.shape == (4 * 32, 34)
+        assert model.b.shape == (4 * 32,)
         assert model.Wd.shape == (1, 32)
+
+    def test_gate_blocks_are_sequential_draws(self):
+        # W's f, i, o, g row blocks are four consecutive (h, h+f) draws from
+        # the seeded stream, then Wd: the stream of one draw per gate tensor
+        h, f, seed = 4, 2, 17
+        model = init(LstmConfig(n_features=f, hidden_size=h, seed=seed))
+        rng = np.random.default_rng(seed)
+        k = 1.0 / math.sqrt(h)
+        for W_gate, _ in _gate_blocks(model):
+            assert np.array_equal(W_gate, rng.uniform(-k, k, size=(h, h + f)))
+        assert np.array_equal(model.Wd, rng.uniform(-k, k, size=(1, h)))
 
     def test_init_range_and_zero_biases(self):
         model = init(LstmConfig(hidden_size=32, seed=5))
         k = 1.0 / math.sqrt(32)
-        for name in ("Wf", "Wi", "Wo", "Wg", "Wd"):
+        for name in ("W", "Wd"):
             w = getattr(model, name)
             assert np.all(np.abs(w) <= k)
-        for name in ("bf", "bi", "bo", "bg", "bd"):
+        for name in ("b", "bd"):
             assert np.all(getattr(model, name) == 0.0)
 
 
@@ -100,8 +118,8 @@ class TestForward:
         window = np.random.default_rng(0).uniform(0, 1, size=(4, 2))
         _, cache = forward(model, window)
         for t in range(4):
-            for gate in (cache.f[t], cache.i[t], cache.o[t]):
-                assert np.all(gate > 0.0) and np.all(gate < 1.0)
+            sigmoid_gates = cache.gates[t][: 3 * 6]  # f, i, o rows
+            assert np.all(sigmoid_gates > 0.0) and np.all(sigmoid_gates < 1.0)
         assert np.all(np.abs(cache.h_last) < 1.0)
 
     def test_rejects_non_finite_input(self):
@@ -143,10 +161,11 @@ class TestBackward:
         grads = backward(model, cache, 1.0)
 
         z = np.concatenate([np.zeros(3), x[0]])
-        a_f = model.Wf @ z + model.bf
-        a_i = model.Wi @ z + model.bi
-        a_o = model.Wo @ z + model.bo
-        a_g = model.Wg @ z + model.bg
+        (Wf, bf), (Wi, bi), (Wo, bo), (Wg, bg) = _gate_blocks(model)
+        a_f = Wf @ z + bf
+        a_i = Wi @ z + bi
+        a_o = Wo @ z + bo
+        a_g = Wg @ z + bg
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         f, i, o, g = sig(a_f), sig(a_i), sig(a_o), np.tanh(a_g)
         c = i * g
@@ -159,10 +178,11 @@ class TestBackward:
         da_o = do * o * (1 - o)
         da_i = dc * g * i * (1 - i)
         da_g = dc * i * (1 - g * g)
-        assert np.allclose(grads["Wo"], np.outer(da_o, z), rtol=1e-12, atol=1e-15)
-        assert np.allclose(grads["Wi"], np.outer(da_i, z), rtol=1e-12, atol=1e-15)
-        assert np.allclose(grads["Wg"], np.outer(da_g, z), rtol=1e-12, atol=1e-15)
-        assert np.allclose(grads["Wf"], 0.0)
+        dWf, dWi, dWo, dWg = np.split(grads["W"], 4)
+        assert np.allclose(dWo, np.outer(da_o, z), rtol=1e-12, atol=1e-15)
+        assert np.allclose(dWi, np.outer(da_i, z), rtol=1e-12, atol=1e-15)
+        assert np.allclose(dWg, np.outer(da_g, z), rtol=1e-12, atol=1e-15)
+        assert np.allclose(dWf, 0.0)
         assert np.allclose(grads["bd"], [1.0])
         assert np.allclose(grads["Wd"], h[None, :], rtol=1e-12, atol=1e-15)
 
@@ -269,15 +289,12 @@ def test_multi_feature_with_zero_sentiment_matches_single_feature():
     single = init(LstmConfig(n_features=1, hidden_size=5, lag=3, seed=42))
     h = single.hidden_size
 
-    params2 = {}
-    for name in ("Wf", "Wi", "Wo", "Wg"):
-        w1 = getattr(single, name)
-        w2 = np.zeros((h, h + 2))
-        w2[:, : h + 1] = w1  # shared hidden + price columns
-        params2[name] = w2
-    for name in ("bf", "bi", "bo", "bg", "Wd", "bd"):
-        params2[name] = getattr(single, name).copy()
-    multi = LstmModel(**params2, n_features=2, hidden_size=h, lag=3)
+    W2 = np.zeros((4 * h, h + 2))
+    W2[:, : h + 1] = single.W  # shared hidden + price columns
+    multi = LstmModel(
+        W=W2, b=single.b.copy(), Wd=single.Wd.copy(), bd=single.bd.copy(),
+        n_features=2, hidden_size=h, lag=3,
+    )
 
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -296,3 +313,34 @@ def test_model_save_load_roundtrip(tmp_path):
     assert (back.n_features, back.hidden_size, back.lag) == (2, 7, 5)
     for name in lstm.PARAM_NAMES:
         assert np.array_equal(getattr(back, name), getattr(model, name))
+
+
+def test_model_load_rejects_other_versions(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(init(LstmConfig(hidden_size=3, seed=0)), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for version in ("1", "9"):
+        path.write_text("\n".join([f"btcforecast-lstm {version}"] + lines[1:]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"version {version}") as excinfo:
+            load_model(path)
+        assert str(path) in str(excinfo.value) and "\n" not in str(excinfo.value)
+
+
+def test_model_load_rejects_truncated_file(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(init(LstmConfig(hidden_size=3, seed=0)), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bd has no values") as excinfo:
+        load_model(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_model_load_rejects_shape_header_mismatch(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(init(LstmConfig(hidden_size=3, seed=0)), path)
+    text = path.read_text(encoding="utf-8").replace("hidden_size 3", "hidden_size 5")
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="shape") as excinfo:
+        load_model(path)
+    assert str(path) in str(excinfo.value) and "\n" not in str(excinfo.value)
