@@ -122,27 +122,28 @@ class ArimaModel:
         )
 
 
-def difference(series: np.ndarray, d: int) -> np.ndarray:
-    """Apply first differences d times."""
+def _difference_levels(
+    series: np.ndarray, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Difference d times in one pass over the levels. Returns the d-th
+    difference, the first value of each level 0..d-1 (the seeds undifference
+    needs) and the last value of each level (the tails forecasting needs)."""
     series = np.asarray(series, dtype=np.float64)
     if len(series) <= d:
         raise ValueError(f"series of length {len(series)} too short for d={d}")
+    seeds, tails = [], []
     for _ in range(d):
+        seeds.append(series[0])
+        tails.append(series[-1])
         series = np.diff(series)
-    return series
+    return series, np.array(seeds), np.array(tails)
 
 
 def difference_with_seeds(series: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Difference d times, also returning the d seed values (the first element
     of each intermediate level) that undifference needs."""
-    series = np.asarray(series, dtype=np.float64)
-    if len(series) <= d:
-        raise ValueError(f"series of length {len(series)} too short for d={d}")
-    seeds = []
-    for _ in range(d):
-        seeds.append(series[0])
-        series = np.diff(series)
-    return series, np.array(seeds)
+    w, seeds, _ = _difference_levels(series, d)
+    return w, seeds
 
 
 def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
@@ -168,50 +169,45 @@ def undifference(diffs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return x
 
 
-def _css_residuals(w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray) -> np.ndarray:
-    """Innovations for t = p..n-1, with pre-sample innovations fixed at zero."""
-    p, q = len(ar), len(ma)
+def _lag_matrix(w: np.ndarray, p: int, include_intercept: bool) -> np.ndarray:
+    """Regressor rows [1?, w_{t-1}, ..., w_{t-p}] for t = p..n-1."""
     n = len(w)
-    eps = np.zeros(n)
-    for t in range(p, n):
-        pred = c
-        for i in range(p):
-            pred += ar[i] * w[t - 1 - i]
-        for j in range(q):
-            if t - 1 - j >= p:
-                pred += ma[j] * eps[t - 1 - j]
-        eps[t] = w[t] - pred
-    return eps[p:]
+    cols = [np.ones(n - p)] if include_intercept else []
+    cols += [w[p - 1 - i : n - 1 - i] for i in range(p)]
+    return np.column_stack(cols) if cols else np.empty((n - p, 0))
 
 
-def _css_jacobian(
-    w: np.ndarray, c: float, ar: np.ndarray, ma: np.ndarray, include_intercept: bool
-) -> np.ndarray:
-    """d eps / d beta via the standard recursions, beta = [c?, ar, ma]."""
-    p, q = len(ar), len(ma)
-    n = len(w)
-    k = (1 if include_intercept else 0) + p + q
-    eps = np.zeros(n)
-    deps = np.zeros((n, k))
-    for t in range(p, n):
-        pred = c
-        row = np.zeros(k)
-        col = 0
-        if include_intercept:
-            row[col] = -1.0
-            col += 1
-        for i in range(p):
-            row[col + i] = -w[t - 1 - i]
-            pred += ar[i] * w[t - 1 - i]
-        col += p
-        for j in range(q):
-            if t - 1 - j >= p:
-                pred += ma[j] * eps[t - 1 - j]
-                row[col + j] = -eps[t - 1 - j]
-                row -= ma[j] * deps[t - 1 - j]
-        eps[t] = w[t] - pred
-        deps[t] = row
-    return deps[p:]
+def _css(
+    y: list[float], X: np.ndarray, beta: np.ndarray, neg_x: list[list[float]] | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Innovations of y = w[p:] given the lag matrix X of w (pre-sample
+    innovations fixed at zero), and, when neg_x (-X as nested lists) is
+    given, their Jacobian d eps / d beta, beta = [c?, ar, ma].
+
+    The intercept and AR part come from X; only the MA filter runs over t:
+    e_t = w_t - pred_t and J_t = -[x_t, e_{t-1..t-q}] - sum_j ma_j J_{t-1-j}.
+    """
+    k_ar = X.shape[1]
+    pred = np.zeros(len(X))
+    for i in range(k_ar):  # column by column: c + ar_0 w_{t-1} + ... in index order
+        pred += beta[i] * X[:, i]
+    ma = beta[k_ar:].tolist()
+    q = len(ma)
+    pred_ar = pred.tolist()
+    eps: list[float] = []
+    jac: list[list[float]] = []
+    for t in range(len(y)):
+        pred_t = pred_ar[t]
+        for j in range(min(q, t)):
+            pred_t += ma[j] * eps[t - 1 - j]
+        eps.append(y[t] - pred_t)
+        if neg_x is not None:
+            # set every -e_{t-1-j} entry first, then subtract ma_j J_{t-1-j} in j order
+            row = neg_x[t] + [-eps[t - 1 - j] if t > j else 0.0 for j in range(q)]
+            for j in range(min(q, t)):
+                row = [r - ma[j] * g for r, g in zip(row, jac[t - 1 - j])]
+            jac.append(row)
+    return np.array(eps), (np.array(jac) if neg_x is not None else None)
 
 
 def _fit_ar_ols(
@@ -219,13 +215,11 @@ def _fit_ar_ols(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """OLS regression of w_t on its p lags (plus intercept). Returns
     (intercept, ar_coeffs, residuals)."""
-    n = len(w)
     if p == 0:
         c = float(np.mean(w)) if include_intercept else 0.0
         return c, np.array([]), w - c
     y = w[p:]
-    lags = np.column_stack([w[p - 1 - i : n - 1 - i] for i in range(p)])
-    X = np.column_stack([np.ones(len(y)), lags]) if include_intercept else lags
+    X = _lag_matrix(w, p, include_intercept)
     if np.ptp(w) == 0.0:
         warnings.warn("constant differenced series; falling back to intercept-only fit")
         c = float(np.mean(w)) if include_intercept else 0.0
@@ -245,15 +239,18 @@ def fit(series: np.ndarray, order: ArimaOrder, include_intercept: bool = True) -
     if len(series) <= d + p + q + 1:
         raise ValueError(f"series of length {len(series)} too short for order {order}")
 
-    w, _ = difference_with_seeds(series, d) if d else (series.copy(), np.array([]))
+    w, _, level_tails = _difference_levels(series, d)
     c, ar, resid = _fit_ar_ols(w, p, include_intercept)
     ma = np.zeros(q)
 
     if q > 0:
-        c, ar, ma, resid = _fit_css_gauss_newton(w, c, ar, q, include_intercept)
+        k = int(include_intercept)
+        beta0 = np.concatenate([[c] if include_intercept else [], ar, ma])
+        beta, resid = _fit_css_gauss_newton(w, beta0, p, include_intercept)
+        c = float(beta[0]) if include_intercept else 0.0
+        ar, ma = beta[k : k + p], beta[k + p :]
 
     sigma2 = float(np.mean(resid**2)) if len(resid) else 0.0
-    level_tails = np.array([difference(series, j)[-1] if j else series[-1] for j in range(d)])
     keep = max(p, 1)
     return ArimaModel(
         order=order,
@@ -268,40 +265,35 @@ def fit(series: np.ndarray, order: ArimaOrder, include_intercept: bool = True) -
 
 
 def _fit_css_gauss_newton(
-    w: np.ndarray, c0: float, ar0: np.ndarray, q: int, include_intercept: bool
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Minimize the conditional sum of squared innovations over (c, ar, ma),
-    Gauss-Newton with step halving, starting from the AR-only solution."""
-    p = len(ar0)
-    c, ar, ma = c0, ar0.copy(), np.zeros(q)
-    eps = _css_residuals(w, c, ar, ma)
+    w: np.ndarray, beta: np.ndarray, p: int, include_intercept: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize the conditional sum of squared innovations over
+    beta = [c?, ar, ma] by Gauss-Newton with step halving. Returns the
+    coefficients and their innovations. Trial steps compute innovations
+    only; the Jacobian is computed once per accepted step."""
+    y = w[p:].tolist()
+    X = _lag_matrix(w, p, include_intercept)
+    neg_x = (-X).tolist()
+    eps, jac = _css(y, X, beta, neg_x)
     sse = float(eps @ eps)
     for _ in range(_GN_MAX_ITER):
-        J = _css_jacobian(w, c, ar, ma, include_intercept)
-        step, *_ = np.linalg.lstsq(J, -eps, rcond=None)
-        base = np.concatenate([[c] if include_intercept else [], ar, ma])
+        step, *_ = np.linalg.lstsq(jac, -eps, rcond=None)
         scale = 1.0
         for _halving in range(30):
-            beta = base + scale * step
-            col = 0
-            if include_intercept:
-                c_new, col = float(beta[0]), 1
-            else:
-                c_new = 0.0
-            ar_new = beta[col : col + p]
-            ma_new = beta[col + p :]
-            eps_new = _css_residuals(w, c_new, ar_new, ma_new)
+            trial = beta + scale * step
+            eps_new, _ = _css(y, X, trial)
             sse_new = float(eps_new @ eps_new)
             if sse_new <= sse:
                 break
             scale *= 0.5
         else:
             # no improving step exists: we are at the (local) CSS minimum
-            return c, ar, ma, eps
+            return beta, eps
         improved = sse - sse_new
-        c, ar, ma, eps, sse = c_new, ar_new, ma_new, eps_new, sse_new
+        beta, eps, sse = trial, eps_new, sse_new
         if improved <= _GN_TOL * max(sse, 1.0):
-            return c, ar, ma, eps
+            return beta, eps
+        _, jac = _css(y, X, beta, neg_x)
     raise ArimaFitError(f"no convergence after {_GN_MAX_ITER} iterations; last objective {sse:.6g}")
 
 

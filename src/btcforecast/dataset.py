@@ -24,7 +24,7 @@ class MergedSeries:
     """Time-ordered rows of exactly (time, price, sentiment).
 
     Timestamps must be strictly increasing. Prices may be NaN until
-    fill_missing has run (loaded files can have gaps).
+    fill_missing has run (loaded files can have gaps); ±inf is rejected.
     """
 
     def __init__(self, time, price, sentiment):
@@ -35,6 +35,8 @@ class MergedSeries:
             raise ValueError("column lengths differ")
         if len(self.time) > 1 and not np.all(np.diff(self.time) > 0):
             raise ValueError("timestamps must be strictly increasing and unique")
+        if np.isinf(self.price).any() or np.isinf(self.sentiment).any():
+            raise ValueError("price and sentiment must not be infinite (NaN marks a gap)")
 
     def __len__(self) -> int:
         return len(self.time)
@@ -69,7 +71,10 @@ class MergedSeries:
                 time.append(int(row["time"]))
                 price.append(float(row["price"]) if row["price"] else math.nan)
                 sentiment.append(float(row["sentiment"]) if row["sentiment"] else math.nan)
-        return cls(time, price, sentiment)
+        try:
+            return cls(time, price, sentiment)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)

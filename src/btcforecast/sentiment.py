@@ -17,6 +17,8 @@ POSITIVE = "Positive"
 NEGATIVE = "Negative"
 NEUTRAL = "Neutral"
 
+POST_COLUMNS = ("timestamp", "source", "text")
+
 # Replacements run in this order; elongation collapse goes last so that
 # stripped hashtags etc. are collapsed in the same pass (keeps
 # normalize_text idempotent).
@@ -186,7 +188,12 @@ def read_posts(path: str | Path) -> list[RawPost]:
     """Read a posts file: header ``timestamp,source,text``, text quoted."""
     posts = []
     with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        for column in POST_COLUMNS:
+            if column not in (reader.fieldnames or ()):
+                header = ",".join(POST_COLUMNS)
+                raise ValueError(f"{path}: missing column {column!r} (expected {header})")
+        for row in reader:
             posts.append(
                 RawPost(timestamp=int(row["timestamp"]), text=row["text"], source=row["source"])
             )
@@ -196,7 +203,7 @@ def read_posts(path: str | Path) -> list[RawPost]:
 def write_posts(path: str | Path, posts: list[RawPost]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(["timestamp", "source", "text"])
+        writer.writerow(POST_COLUMNS)
         for p in posts:
             writer.writerow([p.timestamp, p.source, p.text])
 

@@ -7,8 +7,19 @@ import pytest
 
 from btcforecast.sentiment import Lexicon
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+TESTS_DIR = Path(__file__).resolve().parent
+REPO_ROOT = TESTS_DIR.parent
 FIXTURES_DIR = REPO_ROOT / "fixtures"
+
+# an unclosed file (or socket) left behind by a test here fails that test
+_LEAK_FILTERS = ("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if TESTS_DIR in item.path.parents:
+            for spec in _LEAK_FILTERS:
+                item.add_marker(pytest.mark.filterwarnings(spec))
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from btcforecast.arima import (
     ArimaFitError,
     ArimaOrder,
-    difference,
+    _css,
+    _lag_matrix,
     difference_with_seeds,
     fit,
     forecast_one,
@@ -36,18 +37,18 @@ class TestOrder:
 
 class TestDifferencing:
     def test_first_difference(self):
-        assert difference([1.0, 3.0, 6.0], 1).tolist() == [2.0, 3.0]
+        assert difference_with_seeds([1.0, 3.0, 6.0], 1)[0].tolist() == [2.0, 3.0]
 
     def test_undifference_inverts(self):
         assert undifference([2.0, 3.0], [1.0]).tolist() == [1.0, 3.0, 6.0]
 
     def test_second_difference_by_hand(self):
         # [1,3,6,10] -> [2,3,4] -> [1,1]
-        assert difference([1.0, 3.0, 6.0, 10.0], 2).tolist() == [1.0, 1.0]
+        assert difference_with_seeds([1.0, 3.0, 6.0, 10.0], 2)[0].tolist() == [1.0, 1.0]
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            difference([1.0, 2.0], 2)
+            difference_with_seeds([1.0, 2.0], 2)
 
     @given(
         st.lists(st.integers(min_value=-1000, max_value=1000), min_size=5, max_size=60),
@@ -133,6 +134,14 @@ class TestFit:
         assert model.ar_coeffs[0] == pytest.approx(0.5, abs=0.05)
         assert model.ma_coeffs[0] == pytest.approx(0.4, abs=0.05)
 
+    def test_ma2_recovery_via_gauss_newton(self):
+        # integrated MA(2): w_t = e_t + 0.5 e_{t-1} - 0.3 e_{t-2}, fitted as (1,1,2)
+        e = np.random.default_rng(0).normal(size=3002)
+        w = e[2:] + 0.5 * e[1:-1] - 0.3 * e[:-2]
+        model = fit(np.concatenate([[0.0], np.cumsum(w)]), ArimaOrder(1, 1, 2))
+        assert np.allclose(model.ma_coeffs, [0.5, -0.3], atol=0.05)
+        assert model.sigma2 < 1.05
+
     def test_root_moduli_reported(self):
         y = ar_process([0.8], 3000, seed=1)
         model = fit(y, ArimaOrder(1, 0, 0))
@@ -204,6 +213,25 @@ class TestRollingForecast:
         y = random_walk(40, seed=2)
         with pytest.raises(ArimaFitError, match="index"):
             rolling_forecast(y, ArimaOrder(30, 1, 0))
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (0, 2), (1, 2), (2, 3)])
+@pytest.mark.parametrize("include_intercept", [True, False])
+def test_css_jacobian_matches_finite_differences(p, q, include_intercept):
+    rng = np.random.default_rng(10 * p + q)
+    w = rng.normal(size=80)
+    beta = rng.uniform(-0.4, 0.4, size=int(include_intercept) + p + q)
+    y, X = w[p:].tolist(), _lag_matrix(w, p, include_intercept)
+    eps, jac = _css(y, X, beta, (-X).tolist())
+    # the innovations-only pass gives the same innovations
+    assert np.array_equal(_css(y, X, beta)[0], eps)
+    h = 1e-6
+    for k in range(len(beta)):
+        dk = np.zeros_like(beta)
+        dk[k] = h
+        upper, _ = _css(y, X, beta + dk)
+        lower, _ = _css(y, X, beta - dk)
+        assert np.allclose(jac[:, k], (upper - lower) / (2 * h), rtol=0, atol=1e-6)
 
 
 def test_estimates_converge_with_sample_size():

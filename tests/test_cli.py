@@ -79,6 +79,29 @@ class TestErrorPaths:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_infinite_price_exits_1_without_lapack_noise(self, small_sine, tmp_path, capfd):
+        lines = small_sine.read_text().splitlines()
+        t, _, s = lines[50].split(",")
+        lines[50] = f"{t},inf,{s}"
+        bad = tmp_path / "inf.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run(["train-arima", "--data", str(bad), "--out-dir", str(tmp_path / "out")])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "inf.csv" in err
+        assert "DLASCL" not in out + err
+
+    def test_posts_without_source_column_exits_1(self, tmp_path, capfd):
+        posts = tmp_path / "posts.csv"
+        posts.write_text('timestamp,text\n1,"btc to the moon"\n')
+        code = run(["sentiment", "--posts", str(posts), "--out", str(tmp_path / "s.csv")])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "posts.csv" in err and "'source'" in err
+        assert "Traceback" not in out + err
+
 
 class TestPipelineCommands:
     def test_sentiment_command(self, tmp_path, fixtures_dir, capsys):

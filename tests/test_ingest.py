@@ -107,38 +107,38 @@ class TestRecordLog:
         )
 
     def test_ordered_appends(self, tmp_path, bitstamp_payload):
-        log = RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER)
-        log.append(self._tick(bitstamp_payload, 100))
-        log.append(self._tick(bitstamp_payload, 160))
-        records = log.read()
-        assert len(records) == 2
-        assert [r.timestamp for r in records] == [100, 160]
+        with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
+            log.append(self._tick(bitstamp_payload, 100))
+            log.append(self._tick(bitstamp_payload, 160))
+            records = log.read()
+            assert len(records) == 2
+            assert [r.timestamp for r in records] == [100, 160]
 
     def test_out_of_order_rejected(self, tmp_path, bitstamp_payload):
-        log = RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER)
-        log.append(self._tick(bitstamp_payload, 160))
-        with pytest.raises(OutOfOrderError):
-            log.append(self._tick(bitstamp_payload, 100))
-        assert len(log.read()) == 1
+        with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
+            log.append(self._tick(bitstamp_payload, 160))
+            with pytest.raises(OutOfOrderError):
+                log.append(self._tick(bitstamp_payload, 100))
+            assert len(log.read()) == 1
 
     def test_equal_timestamp_rejected(self, tmp_path, bitstamp_payload):
-        log = RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER)
-        log.append(self._tick(bitstamp_payload, 100))
-        with pytest.raises(OutOfOrderError):
+        with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
             log.append(self._tick(bitstamp_payload, 100))
+            with pytest.raises(OutOfOrderError):
+                log.append(self._tick(bitstamp_payload, 100))
 
     def test_roundtrip_identical_record(self, tmp_path, bitstamp_payload):
         payload = dict(bitstamp_payload) | {"vwap": "6453.12"}
         tick = parse_payload(BITSTAMP_TICKER, payload)
-        log = RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER)
-        log.append(tick)
-        assert log.read() == [tick]
+        with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
+            log.append(tick)
+            assert log.read() == [tick]
 
     def test_header_matches_table(self, tmp_path, bitstamp_payload):
-        log = RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER)
-        log.append(self._tick(bitstamp_payload, 100))
-        first_line = (tmp_path / "ticks.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert first_line == ",".join(TABLE2_FIELDS)
+        with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
+            log.append(self._tick(bitstamp_payload, 100))
+            first_line = (tmp_path / "ticks.csv").read_text(encoding="utf-8").splitlines()[0]
+            assert first_line == ",".join(TABLE2_FIELDS)
 
     def test_reopen_continues_ordering(self, tmp_path, bitstamp_payload):
         path = tmp_path / "ticks.csv"
@@ -151,18 +151,18 @@ class TestRecordLog:
             assert [r.timestamp for r in log.read()] == [100, 150]
 
     def test_reader_sees_prefix_while_writing(self, tmp_path, bitstamp_payload):
-        log = RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER)
-        log.append(self._tick(bitstamp_payload, 100))
-        assert len(log.read()) == 1
-        log.append(self._tick(bitstamp_payload, 200))
-        assert len(log.read()) == 2
+        with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
+            log.append(self._tick(bitstamp_payload, 100))
+            assert len(log.read()) == 1
+            log.append(self._tick(bitstamp_payload, 200))
+            assert len(log.read()) == 2
 
     def test_snapshot_log(self, tmp_path, fixtures_dir):
         payload = json.loads((fixtures_dir / "blockchain_quotes" / "000.json").read_text())
         snap = parse_payload(BLOCKCHAIN_QUOTES, payload)
-        log = RecordLog(tmp_path / "quotes.csv", BLOCKCHAIN_QUOTES)
-        log.append(snap)
-        assert log.read() == [snap]
+        with RecordLog(tmp_path / "quotes.csv", BLOCKCHAIN_QUOTES) as log:
+            log.append(snap)
+            assert log.read() == [snap]
 
 
 class TestFetchOnce:
@@ -207,26 +207,26 @@ class TestFetchOnce:
 
 class TestPoll:
     def test_three_ticks_three_intervals(self, replay_server, tmp_path):
-        log = RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER)
-        count = poll(_config(replay_server, BITSTAMP_TICKER), log, threading.Event(), max_polls=3)
-        assert count == 3
-        records = log.read()
-        assert len(records) == 3
-        assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
+        with RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER) as log:
+            count = poll(_config(replay_server, BITSTAMP_TICKER), log, threading.Event(), max_polls=3)
+            assert count == 3
+            records = log.read()
+            assert len(records) == 3
+            assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
 
     def test_malformed_payload_skipped_loop_continues(self, replay_server, tmp_path):
-        log = RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER)
-        cfg = _config(replay_server, BITSTAMP_TICKER, query="fault_at=1")
-        count = poll(cfg, log, threading.Event(), max_polls=3)
-        assert count == 2
-        assert len(log.read()) == 2
+        with RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER) as log:
+            cfg = _config(replay_server, BITSTAMP_TICKER, query="fault_at=1")
+            count = poll(cfg, log, threading.Event(), max_polls=3)
+            assert count == 2
+            assert len(log.read()) == 2
 
     def test_immediate_stop_appends_nothing(self, replay_server, tmp_path):
-        log = RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER)
-        stop = threading.Event()
-        stop.set()
-        assert poll(_config(replay_server, BITSTAMP_TICKER), log, stop) == 0
-        assert log.read() == []
+        with RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER) as log:
+            stop = threading.Event()
+            stop.set()
+            assert poll(_config(replay_server, BITSTAMP_TICKER), log, stop) == 0
+            assert log.read() == []
 
     def test_no_partial_records_under_faults(self, replay_server, tmp_path):
         """Fault injection never yields half-populated records: whatever lands
@@ -234,26 +234,26 @@ class TestPoll:
         faults = ["fault_at=0", "fault_at=2&fault=drop:open", "fault_at=1&fault=corrupt:bid"]
         for i, query in enumerate(faults):
             replay_server.reset()
-            log = RecordLog(tmp_path / f"t{i}.csv", BITSTAMP_TICKER)
-            appended = poll(
-                _config(replay_server, BITSTAMP_TICKER, query=query),
-                log,
-                threading.Event(),
-                max_polls=3,
-            )
-            records = log.read()
-            assert len(records) == appended == 2
-            for tick in records:
-                for field in TABLE2_FIELDS:
-                    assert getattr(tick, field) is not None
+            with RecordLog(tmp_path / f"t{i}.csv", BITSTAMP_TICKER) as log:
+                appended = poll(
+                    _config(replay_server, BITSTAMP_TICKER, query=query),
+                    log,
+                    threading.Event(),
+                    max_polls=3,
+                )
+                records = log.read()
+                assert len(records) == appended == 2
+                for tick in records:
+                    for field in TABLE2_FIELDS:
+                        assert getattr(tick, field) is not None
 
     def test_cycling_payloads_get_deduplicated(self, replay_server, tmp_path):
         # after one full cycle the replayed timestamps repeat; the log keeps
         # only the strictly increasing prefix
-        log = RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER)
-        count = poll(_config(replay_server, BITSTAMP_TICKER), log, threading.Event(), max_polls=5)
-        assert count == 3
-        assert len(log.read()) == 3
+        with RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER) as log:
+            count = poll(_config(replay_server, BITSTAMP_TICKER), log, threading.Event(), max_polls=5)
+            assert count == 3
+            assert len(log.read()) == 3
 
     def test_cadence_holds_against_fetch_latency(self, monkeypatch):
         """Polls start at start + k * interval whatever the fetch takes, and
