@@ -276,24 +276,27 @@ def _fit_css_gauss_newton(
     neg_x = (-X).tolist()
     eps, jac = _css(y, X, beta, neg_x)
     sse = float(eps @ eps)
-    for _ in range(_GN_MAX_ITER):
-        step, *_ = np.linalg.lstsq(jac, -eps, rcond=None)
-        scale = 1.0
-        for _halving in range(30):
-            trial = beta + scale * step
-            eps_new, _ = _css(y, X, trial)
-            sse_new = float(eps_new @ eps_new)
-            if sse_new <= sse:
-                break
-            scale *= 0.5
-        else:
-            # no improving step exists: we are at the (local) CSS minimum
-            return beta, eps
-        improved = sse - sse_new
-        beta, eps, sse = trial, eps_new, sse_new
-        if improved <= _GN_TOL * max(sse, 1.0):
-            return beta, eps
-        _, jac = _css(y, X, beta, neg_x)
+    # a trial step that leaves the invertible MA region can overflow the
+    # innovations; its non-finite SSE fails the <= test and is halved away
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_GN_MAX_ITER):
+            step, *_ = np.linalg.lstsq(jac, -eps, rcond=None)
+            scale = 1.0
+            for _halving in range(30):
+                trial = beta + scale * step
+                eps_new, _ = _css(y, X, trial)
+                sse_new = float(eps_new @ eps_new)
+                if sse_new <= sse:
+                    break
+                scale *= 0.5
+            else:
+                # no improving step exists: we are at the (local) CSS minimum
+                return beta, eps
+            improved = sse - sse_new
+            beta, eps, sse = trial, eps_new, sse_new
+            if improved <= _GN_TOL * max(sse, 1.0):
+                return beta, eps
+            _, jac = _css(y, X, beta, neg_x)
     raise ArimaFitError(f"no convergence after {_GN_MAX_ITER} iterations; last objective {sse:.6g}")
 
 

@@ -8,7 +8,7 @@ plot. Exit codes: 0 success, 1 module error (diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import os
 import sys
 import threading
@@ -29,6 +29,7 @@ from .dataset import (
     unscale_column,
 )
 from .ingest import RecordLog, load_sources, poll
+from .table import HeaderError, read_table
 
 FIXTURES_ENV = "BTCFORECAST_FIXTURES"
 
@@ -133,16 +134,12 @@ def _load_series(args) -> MergedSeries:
 def _read_price_stream(path: Path) -> list[tuple[int, float]]:
     """Accept either an ingest record log (timestamp,last) or a plain
     time,price CSV."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        cols = set(reader.fieldnames or [])
-        if {"timestamp", "last"} <= cols:
-            t_col, p_col = "timestamp", "last"
-        elif {"time", "price"} <= cols:
-            t_col, p_col = "time", "price"
-        else:
-            raise ValueError(f"{path}: expected timestamp/last or time/price columns")
-        return [(int(row[t_col]), float(row[p_col])) for row in reader]
+    for t_col, p_col in (("timestamp", "last"), ("time", "price")):
+        try:
+            return [(t, p) for _, (t, p) in read_table(path, {t_col: int, p_col: float})]
+        except HeaderError:
+            continue
+    raise ValueError(f"{path}: expected timestamp/last or time/price columns")
 
 
 def _train_lstm_report(series: MergedSeries, features: str, args):
@@ -202,20 +199,23 @@ def _cmd_ingest(args) -> int:
     stop = threading.Event()
     results: dict[str, int] = {}
 
-    def run_source(cfg):
-        with RecordLog(out_dir / f"{cfg.name}.csv", cfg.schema) as sink:
-            results[cfg.name] = poll(cfg, sink, stop, max_polls=args.max_polls)
+    def run_source(cfg, sink):
+        results[cfg.name] = poll(cfg, sink, stop, max_polls=args.max_polls)
 
-    threads = [threading.Thread(target=run_source, args=(cfg,)) for cfg in sources]
-    for t in threads:
-        t.start()
-    try:
+    # every sink is opened (and its log validated) here, before any poller
+    # starts, so a damaged log is a one-line error, not a thread traceback
+    with contextlib.ExitStack() as stack:
+        sinks = [stack.enter_context(RecordLog(out_dir / f"{cfg.name}.csv", cfg.schema)) for cfg in sources]
+        threads = [threading.Thread(target=run_source, args=pair) for pair in zip(sources, sinks)]
         for t in threads:
-            t.join()
-    except KeyboardInterrupt:
-        stop.set()
-        for t in threads:
-            t.join()
+            t.start()
+        try:
+            for t in threads:
+                t.join()
+        except KeyboardInterrupt:
+            stop.set()
+            for t in threads:
+                t.join()
     for name, count in sorted(results.items()):
         print(f"{name}: {count} records appended")
     return 0
@@ -323,8 +323,7 @@ def _cmd_plot(args) -> int:
     if kind == "forecast_overlay":
         inputs = evaluation.read_forecast_csv(args.infile)
     elif kind == "train_loss":
-        with open(args.infile, newline="", encoding="utf-8") as f:
-            inputs = [float(row["loss"]) for row in csv.DictReader(f)]
+        inputs = [loss for _, (loss,) in read_table(args.infile, {"loss": float})]
     else:
         inputs = MergedSeries.from_csv(args.infile)
     evaluation.emit_plot_data(kind, inputs, args.out)

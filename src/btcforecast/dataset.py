@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .table import read_table
+
 COLUMNS = ("time", "price", "sentiment")
 
 PRICE_ONLY = "price_only"
@@ -63,18 +65,20 @@ class MergedSeries:
     @classmethod
     def from_csv(cls, path: str | Path) -> "MergedSeries":
         time, price, sentiment = [], [], []
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != COLUMNS:
-                raise ValueError(f"expected header {','.join(COLUMNS)} in {path}")
-            for row in reader:
-                time.append(int(row["time"]))
-                price.append(float(row["price"]) if row["price"] else math.nan)
-                sentiment.append(float(row["sentiment"]) if row["sentiment"] else math.nan)
+        columns = dict(zip(COLUMNS, (int, _float_or_nan, _float_or_nan)))
+        for _, (t, p, s) in read_table(path, columns, exact=True):
+            time.append(t)
+            price.append(p)
+            sentiment.append(s)
         try:
             return cls(time, price, sentiment)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
+
+
+def _float_or_nan(field: str) -> float:
+    """An empty field marks a gap."""
+    return float(field) if field else math.nan
 
 
 @dataclass(frozen=True)

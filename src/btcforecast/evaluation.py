@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import MergedSeries, train_test_counts
+from .table import read_table
 
 PLOT_KINDS = ("normalized_series", "train_loss", "forecast_overlay")
 
@@ -230,9 +231,8 @@ def emit_plot_data(kind: str, inputs, path: str | Path) -> Path:
 def read_forecast_csv(path: str | Path) -> ForecastReport:
     """Reload a forecast_overlay file into a report (timings zeroed)."""
     times, actual, predicted = [], [], []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            times.append(int(row["time"]))
-            actual.append(float(row["actual"]))
-            predicted.append(float(row["predicted"]))
+    for _, (t, a, p) in read_table(path, {"time": int, "actual": float, "predicted": float}):
+        times.append(t)
+        actual.append(a)
+        predicted.append(p)
     return ForecastReport.create(Path(path).stem, times, actual, predicted)

@@ -8,6 +8,7 @@ import csv
 import io
 from pathlib import Path
 
+from ..table import read_table
 from .sources import SCHEMAS, record_timestamp, record_to_row, row_to_record
 
 
@@ -24,9 +25,11 @@ class RecordLog:
         self.columns = SCHEMAS[schema].log_columns
         self._last_timestamp: int | None = None
         if self.path.exists() and self.path.stat().st_size > 0:
-            existing = self.read()
-            if existing:
-                self._last_timestamp = record_timestamp(existing[-1])
+            # every field of every row is parsed, as read() does, but only
+            # the last ordering key is kept
+            key = self.columns.index(SCHEMAS[schema].key_column)
+            for _, values in self._rows():
+                self._last_timestamp = values[key]
             self._handle = open(self.path, "a", encoding="utf-8", newline="")
         else:
             self._handle = open(self.path, "w", encoding="utf-8", newline="")
@@ -48,18 +51,14 @@ class RecordLog:
         self._write_row(record_to_row(self.schema, record))
         self._last_timestamp = ts
 
+    def _rows(self):
+        """(line number, parsed fields) of each record in the log; the
+        header must be the schema's."""
+        return read_table(self.path, SCHEMAS[self.schema].converters, exact=True)
+
     def read(self) -> list:
         """Re-read every record currently in the log, in order."""
-        records = []
-        with open(self.path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is not None and tuple(reader.fieldnames) != self.columns:
-                raise ValueError(
-                    f"log header {reader.fieldnames} does not match schema {self.schema}"
-                )
-            for row in reader:
-                records.append(row_to_record(self.schema, row))
-        return records
+        return [row_to_record(self.schema, values) for _, values in self._rows()]
 
     def close(self) -> None:
         self._handle.close()

@@ -92,6 +92,19 @@ class _Schema:
     def log_columns(self) -> tuple[str, ...]:
         return tuple(col for _, _, col in self.field_map)
 
+    @property
+    def converters(self) -> dict[str, type]:
+        """Log column -> the type its fields parse to (str, int or float)."""
+        return {
+            col: str if field in self.string_fields else int if field in self.int_fields else float
+            for _, field, col in self.field_map
+        }
+
+    @property
+    def key_column(self) -> str:
+        """The log column holding the ordering key (see record_timestamp)."""
+        return "timestamp" if self.record_type is PriceTick else "created"
+
 
 SCHEMAS: dict[str, _Schema] = {
     BITSTAMP_TICKER: _Schema(
@@ -192,18 +205,11 @@ def record_to_row(schema: str, record) -> list[str]:
     return row
 
 
-def row_to_record(schema: str, row: dict) -> PriceTick | MarketSnapshot:
+def row_to_record(schema: str, values: list) -> PriceTick | MarketSnapshot:
+    """Build a record from one log row, already parsed by the schema's
+    converters."""
     spec = SCHEMAS[schema]
-    values: dict[str, object] = {}
-    for _, field, col in spec.field_map:
-        raw = row[col]
-        if field in spec.string_fields:
-            values[field] = raw
-        elif field in spec.int_fields:
-            values[field] = int(raw)
-        else:
-            values[field] = float(raw)
-    return spec.record_type(**values)
+    return spec.record_type(**{field: v for (_, field, _), v in zip(spec.field_map, values)})
 
 
 def load_sources(path: str | Path) -> list[SourceConfig]:

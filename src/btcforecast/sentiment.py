@@ -11,7 +11,10 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
+
+from .table import read_table
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -27,8 +30,9 @@ _HASHTAG_RE = re.compile(r"#+(\w+)")
 _MENTION_RE = re.compile(r"@+\w+")
 _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
 
-_EDGE_PUNCT_RE = re.compile(r"^\W+|\W+$")
-_WORD_RE = re.compile(r"\w")
+# A token runs from the first to the last word character of a
+# whitespace-separated chunk; chunks without one (emoticons etc.) give none.
+_TOKEN_RE = re.compile(r"\w(?:\S*\w)?")
 
 
 @dataclass(frozen=True)
@@ -118,24 +122,25 @@ def normalize_text(text: str) -> str:
 
     Idempotent: applying it twice gives the same result.
     """
-    text = _URL_RE.sub("URL", text)
-    text = _HASHTAG_RE.sub(r"\1", text)
-    text = _MENTION_RE.sub("User", text)
-    text = _ELONGATION_RE.sub(r"\1\1", text)
-    return text
+    # a substitution is skipped when its trigger is absent (nothing can
+    # match); group callables are cheaper than template expansion
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub("URL", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(itemgetter(1), text)
+    if "@" in text:
+        text = _MENTION_RE.sub("User", text)
+    return _ELONGATION_RE.sub(_doubled_letter, text)
+
+
+def _doubled_letter(match: re.Match) -> str:
+    return match[1] * 2
 
 
 def tokenize(text: str) -> list[str]:
     """Split normalized text on whitespace, drop symbol-only tokens
     (emoticons etc.), strip leading/trailing punctuation, lowercase."""
-    tokens = []
-    for raw in text.split():
-        if not _WORD_RE.search(raw):
-            continue
-        token = _EDGE_PUNCT_RE.sub("", raw)
-        if token:
-            tokens.append(token.lower())
-    return tokens
+    return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
 def remove_stopwords(tokens: list[str], stopwords: frozenset[str] | None = None) -> list[str]:
@@ -186,18 +191,11 @@ def process_post(
 
 def read_posts(path: str | Path) -> list[RawPost]:
     """Read a posts file: header ``timestamp,source,text``, text quoted."""
-    posts = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for column in POST_COLUMNS:
-            if column not in (reader.fieldnames or ()):
-                header = ",".join(POST_COLUMNS)
-                raise ValueError(f"{path}: missing column {column!r} (expected {header})")
-        for row in reader:
-            posts.append(
-                RawPost(timestamp=int(row["timestamp"]), text=row["text"], source=row["source"])
-            )
-    return posts
+    columns = dict(zip(POST_COLUMNS, (int, str, str)))
+    return [
+        RawPost(timestamp=t, text=text, source=source)
+        for _, (t, source, text) in read_table(path, columns)
+    ]
 
 
 def write_posts(path: str | Path, posts: list[RawPost]) -> None:
@@ -218,8 +216,5 @@ def write_sentiment_log(path: str | Path, records: list[SentimentRecord]) -> Non
 
 
 def read_sentiment_log(path: str | Path) -> list[tuple[int, float, str]]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as f:
-        for row in csv.DictReader(f):
-            rows.append((int(row["timestamp"]), float(row["polarity"]), row["label"]))
-    return rows
+    columns = {"timestamp": int, "polarity": float, "label": str}
+    return [tuple(values) for _, values in read_table(path, columns)]

@@ -134,6 +134,7 @@ class TestFit:
         assert model.ar_coeffs[0] == pytest.approx(0.5, abs=0.05)
         assert model.ma_coeffs[0] == pytest.approx(0.4, abs=0.05)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ma2_recovery_via_gauss_newton(self):
         # integrated MA(2): w_t = e_t + 0.5 e_{t-1} - 0.3 e_{t-2}, fitted as (1,1,2)
         e = np.random.default_rng(0).normal(size=3002)

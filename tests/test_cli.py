@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -66,6 +67,16 @@ class TestParserDefaults:
         assert exc.value.code == 2
 
 
+def _assert_one_line_error(capfd, code, *names):
+    out, err = capfd.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    for name in names:
+        assert name in err
+    assert "Traceback" not in out + err
+    return out
+
+
 class TestErrorPaths:
     def test_missing_input_exits_1_with_path(self, tmp_path, capsys):
         code = run(["train-lstm", "--data", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path)])
@@ -101,6 +112,52 @@ class TestErrorPaths:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "posts.csv" in err and "'source'" in err
         assert "Traceback" not in out + err
+
+    def test_ingest_on_torn_log_exits_1(self, tmp_path, replay_server, bitstamp_payload, capfd):
+        from btcforecast.ingest import BITSTAMP_TICKER, RecordLog, parse_payload
+
+        out_dir = tmp_path / "logs"
+        out_dir.mkdir()
+        tick = parse_payload(BITSTAMP_TICKER, bitstamp_payload)
+        with RecordLog(out_dir / "bitstamp.csv", BITSTAMP_TICKER) as log:
+            for i in range(4):
+                log.append(dataclasses.replace(tick, timestamp=tick.timestamp + 60 * i))
+        # a crash mid-append left a partial record on line 6
+        with open(out_dir / "bitstamp.csv", "a", encoding="utf-8") as f:
+            f.write("6542.61,6502.61,15000")
+        config = tmp_path / "sources.json"
+        config.write_text(json.dumps([{
+            "name": "bitstamp", "base_url": replay_server.url_for(BITSTAMP_TICKER),
+            "poll_interval_s": 0.01, "schema": BITSTAMP_TICKER,
+        }]), encoding="utf-8")
+        code = run(["ingest", "--config", str(config), "--out-dir", str(out_dir), "--max-polls", "1"])
+        out = _assert_one_line_error(capfd, code, "bitstamp.csv:6:")
+        assert "records appended" not in out
+
+    def test_posts_row_missing_a_field_exits_1(self, tmp_path, capfd):
+        posts = tmp_path / "posts.csv"
+        posts.write_text('timestamp,source,text\n1,twitter\n')
+        code = run(["sentiment", "--posts", str(posts), "--out", str(tmp_path / "s.csv")])
+        _assert_one_line_error(capfd, code, "posts.csv:2:")
+
+    def test_sentiment_log_without_polarity_exits_1(self, tmp_path, small_sine, capfd):
+        sent = tmp_path / "sent.csv"
+        sent.write_text("timestamp,label\n1,Positive\n")
+        code = run(["merge", "--prices", str(small_sine), "--sentiment", str(sent),
+                    "--out", str(tmp_path / "m.csv")])
+        _assert_one_line_error(capfd, code, "sent.csv", "'polarity'")
+
+    def test_price_row_missing_a_field_exits_1(self, tmp_path, capfd):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("time,price\n1\n")
+        code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
+        _assert_one_line_error(capfd, code, "prices.csv:2:")
+
+    def test_unparseable_price_names_line_and_column(self, tmp_path, capfd):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("time,price\n60,100.5\n120,abc\n")
+        code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
+        _assert_one_line_error(capfd, code, "prices.csv:3:", "'price'")
 
 
 class TestPipelineCommands:

@@ -157,6 +157,51 @@ class TestRecordLog:
             log.append(self._tick(bitstamp_payload, 200))
             assert len(log.read()) == 2
 
+    def _log_with(self, path, bitstamp_payload, n, tail=""):
+        with RecordLog(path, BITSTAMP_TICKER) as log:
+            for i in range(n):
+                log.append(self._tick(bitstamp_payload, 100 + 60 * i))
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(tail)
+
+    def test_reopen_finds_last_timestamp_without_records(self, tmp_path, bitstamp_payload, monkeypatch):
+        path = tmp_path / "ticks.csv"
+        self._log_with(path, bitstamp_payload, 4)
+
+        def no_records(self):
+            raise AssertionError("reopening must not build records")
+
+        monkeypatch.setattr(RecordLog, "read", no_records)
+        with RecordLog(path, BITSTAMP_TICKER) as log:
+            with pytest.raises(OutOfOrderError, match="last 280"):
+                log.append(self._tick(bitstamp_payload, 280))
+            log.append(self._tick(bitstamp_payload, 281))
+
+    def test_reopen_rejects_torn_last_line(self, tmp_path, bitstamp_payload):
+        # a crash mid-append leaves a partial record on line 6
+        path = tmp_path / "ticks.csv"
+        self._log_with(path, bitstamp_payload, 4, tail="6542.61,6502.61,15000")
+        with pytest.raises(ValueError, match=r"ticks\.csv:6: expected 10 fields, got 3"):
+            RecordLog(path, BITSTAMP_TICKER)
+
+    def test_reopen_rejects_unparseable_field(self, tmp_path, bitstamp_payload):
+        path = tmp_path / "ticks.csv"
+        self._log_with(path, bitstamp_payload, 2)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split(",")
+        fields[TABLE2_FIELDS.index("timestamp")] = "12x"
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"ticks\.csv:2: column 'timestamp'"):
+            RecordLog(path, BITSTAMP_TICKER)
+
+    def test_reopen_after_trailing_blank_line(self, tmp_path, bitstamp_payload):
+        path = tmp_path / "ticks.csv"
+        self._log_with(path, bitstamp_payload, 2, tail="\n")
+        with RecordLog(path, BITSTAMP_TICKER) as log:
+            log.append(self._tick(bitstamp_payload, 200))
+            assert [r.timestamp for r in log.read()] == [100, 160, 200]
+
     def test_snapshot_log(self, tmp_path, fixtures_dir):
         payload = json.loads((fixtures_dir / "blockchain_quotes" / "000.json").read_text())
         snap = parse_payload(BLOCKCHAIN_QUOTES, payload)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcforecast.cli import run
 from btcforecast.sentiment import (
     NEGATIVE,
     NEUTRAL,
@@ -20,6 +24,65 @@ from btcforecast.sentiment import (
     tokenize,
     write_posts,
 )
+
+
+# The split/search/strip tokenizer and the four-substitution normalizer that
+# tokenize and normalize_text replaced; kept as oracles for them.
+_ORACLE_URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+_ORACLE_HASHTAG_RE = re.compile(r"#+(\w+)")
+_ORACLE_MENTION_RE = re.compile(r"@+\w+")
+_ORACLE_ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
+_ORACLE_EDGE_PUNCT_RE = re.compile(r"^\W+|\W+$")
+_ORACLE_WORD_RE = re.compile(r"\w")
+
+
+def _normalize_oracle(text: str) -> str:
+    text = _ORACLE_URL_RE.sub("URL", text)
+    text = _ORACLE_HASHTAG_RE.sub(r"\1", text)
+    text = _ORACLE_MENTION_RE.sub("User", text)
+    return _ORACLE_ELONGATION_RE.sub(r"\1\1", text)
+
+
+def _tokenize_oracle(text: str) -> list[str]:
+    tokens = []
+    for raw in text.split():
+        if not _ORACLE_WORD_RE.search(raw):
+            continue
+        token = _ORACLE_EDGE_PUNCT_RE.sub("", raw)
+        if token:
+            tokens.append(token.lower())
+    return tokens
+
+
+# post-like text: arbitrary strings mixed with whitespace (also non-ASCII),
+# the substitution triggers, edge punctuation, digits and non-ASCII letters
+_POST_PIECES = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(
+        [" ", "\t", "\n", "\u00a0", "\u2003", "#", "@", "_", ".", ":", "/", "'",
+         "http", "https://", "www.", "7", "42", "é", "ß", "Ω", "日本", "٣", "ooo", "!!"]
+    ),
+)
+_POST_TEXT = st.lists(_POST_PIECES, max_size=20).map("".join)
+
+
+class TestAgainstOracles:
+    @given(_POST_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_text_matches_four_substitutions(self, text):
+        assert normalize_text(text) == _normalize_oracle(text)
+
+    @given(_POST_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_tokenize_matches_split_search_strip(self, text):
+        assert tokenize(text) == _tokenize_oracle(text)
+
+    def test_fixture_posts_score_as_before(self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "sentiment.csv"
+        assert run(["sentiment", "--posts", str(fixtures_dir / "posts.csv"), "--out", str(out)]) == 0
+        # sha256 of this output before the one-regex tokenizer
+        digest = "17c84abf4667e168c0ff65f4294202ddb701b75fd1f51353286d49b851fb7e79"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestNormalizeText:
