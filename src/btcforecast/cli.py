@@ -3,12 +3,16 @@
 Subcommands: ingest, sentiment, merge, train-lstm, train-arima, evaluate,
 plot. Exit codes: 0 success, 1 module error (diagnostic on stderr),
 2 usage error.
+
+lstm_report, arima_report and run_comparison are the one path that builds
+forecast reports: train-lstm, train-arima, evaluate and demo 06 all use it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 import threading
@@ -142,54 +146,72 @@ def _read_price_stream(path: Path) -> list[tuple[int, float]]:
     raise ValueError(f"{path}: expected timestamp/last or time/price columns")
 
 
-def _train_lstm_report(series: MergedSeries, features: str, args):
+def lstm_report(
+    series: MergedSeries, features: str, config: lstm.LstmConfig, train_fraction: float = 0.7
+) -> tuple[lstm.LstmModel, evaluation.ForecastReport]:
+    """Train an LSTM on the chronological split of series and forecast its
+    test range. The feature mode sets config.n_features."""
     scaler = fit_scaler(series)
-    scaled = scale(series, scaler)
-    ds = to_supervised(scaled, args.lag, features, scaler)
-    train_ds, test_ds = split(ds, args.train_fraction)
-    config = lstm.LstmConfig(
-        n_features=len(ds.feature_names),
-        hidden_size=args.hidden,
-        lag=args.lag,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    ds = to_supervised(scale(series, scaler), config.lag, features, scaler)
+    train_ds, test_ds = split(ds, train_fraction)
+    config = dataclasses.replace(config, n_features=len(ds.feature_names))
     model, history = lstm.train(config, train_ds)
     predicted = lstm.predict_series(model, test_ds)
     actual = unscale_column(test_ds.targets, scaler, "price")
-    name = "lstm_single" if features == PRICE_ONLY else "lstm_multi"
     report = evaluation.ForecastReport.create(
-        name,
+        "lstm_single" if features == PRICE_ONLY else "lstm_multi",
         test_ds.target_times,
         actual,
         predicted,
         build_time_ms=history.build_time_ms,
         train_or_fit_time_ms=history.train_time_ms,
+        losses=history.losses,
     )
-    return model, history, report
+    return model, report
 
 
-def _arima_report(series: MergedSeries, args) -> evaluation.ForecastReport:
-    order = arima.ArimaOrder.parse(args.order)
-    prices = series.price
-    n_train, _ = train_test_counts(len(prices), args.train_fraction)
+def arima_report(
+    series: MergedSeries, order: arima.ArimaOrder, refit: str = arima.REFIT_ALWAYS, train_fraction: float = 0.7
+) -> evaluation.ForecastReport:
+    """Roll one-step ARIMA forecasts over the test range of series."""
+    n_train, _ = train_test_counts(len(series), train_fraction)
     # rolling_forecast fits the training prefix itself, so there is no
     # separate build step to time
     preds, fit_ms = evaluation.time_call(
-        arima.rolling_forecast,
-        prices,
-        order,
-        train_fraction=args.train_fraction,
-        refit=args.refit,
+        arima.rolling_forecast, series.price, order, train_fraction=train_fraction, refit=refit
     )
     return evaluation.ForecastReport.create(
-        f"arima{order}",
-        series.time[n_train:],
-        prices[n_train:],
-        preds,
-        train_or_fit_time_ms=fit_ms,
+        f"arima{order}", series.time[n_train:], series.price[n_train:], preds, train_or_fit_time_ms=fit_ms
     )
+
+
+def run_comparison(
+    series: MergedSeries, config: lstm.LstmConfig, order: arima.ArimaOrder,
+    refit: str = arima.REFIT_ALWAYS, train_fraction: float = 0.7,
+) -> list[evaluation.ForecastReport]:
+    """The paper's comparison: single- and multi-feature LSTM, rolling ARIMA
+    and the naive last-value baseline, each scored on one chronological
+    split."""
+    reports = [lstm_report(series, f, config, train_fraction)[1] for f in (PRICE_ONLY, PRICE_AND_SENTIMENT)]
+    reports.append(arima_report(series, order, refit, train_fraction))
+    reports.append(evaluation.naive_baseline(series.time, series.price, train_fraction))
+    return reports
+
+
+def _lstm_config(args) -> lstm.LstmConfig:
+    return lstm.LstmConfig(
+        hidden_size=args.hidden, lag=args.lag, epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed
+    )
+
+
+def _write_reports(reports: list[evaluation.ForecastReport], out_dir: Path) -> None:
+    """forecast_<name>.csv for every report, loss_<name>.csv for each one
+    with a loss curve."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for report in reports:
+        evaluation.emit_plot_data("forecast_overlay", report, out_dir / f"forecast_{report.model_name}.csv")
+        if report.losses is not None:
+            evaluation.emit_plot_data("train_loss", report, out_dir / f"loss_{report.model_name}.csv")
 
 
 def _cmd_ingest(args) -> int:
@@ -248,11 +270,8 @@ def _cmd_merge(args) -> int:
 
 def _cmd_train_lstm(args) -> int:
     series = _load_series(args)
-    model, history, report = _train_lstm_report(series, args.features, args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.emit_plot_data("forecast_overlay", report, out_dir / f"forecast_{report.model_name}.csv")
-    evaluation.emit_plot_data("train_loss", history, out_dir / f"loss_{report.model_name}.csv")
+    model, report = lstm_report(series, args.features, _lstm_config(args), args.train_fraction)
+    _write_reports([report], Path(args.out_dir))
     if args.save:
         lstm.save_model(model, args.save)
     print(
@@ -264,10 +283,8 @@ def _cmd_train_lstm(args) -> int:
 
 def _cmd_train_arima(args) -> int:
     series = _load_series(args)
-    report = _arima_report(series, args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    evaluation.emit_plot_data("forecast_overlay", report, out_dir / f"forecast_{report.model_name}.csv")
+    report = arima_report(series, arima.ArimaOrder.parse(args.order), args.refit, args.train_fraction)
+    _write_reports([report], Path(args.out_dir))
     print(
         f"{report.model_name}: test RMSE {report.rmse:.6f} USD "
         f"(rolling {report.train_or_fit_time_ms:.3f} ms)"
@@ -277,31 +294,12 @@ def _cmd_train_arima(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     series = _load_series(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    scaler = fit_scaler(series)
-    evaluation.emit_plot_data("normalized_series", scale(series, scaler), out_dir / "normalized.csv")
-
-    reports = []
-    for features in (PRICE_ONLY, PRICE_AND_SENTIMENT):
-        _, history, report = _train_lstm_report(series, features, args)
-        reports.append(report)
-        evaluation.emit_plot_data(
-            "forecast_overlay", report, out_dir / f"forecast_{report.model_name}.csv"
-        )
-        evaluation.emit_plot_data("train_loss", history, out_dir / f"loss_{report.model_name}.csv")
-
-    arima_rep = _arima_report(series, args)
-    reports.append(arima_rep)
-    evaluation.emit_plot_data(
-        "forecast_overlay", arima_rep, out_dir / f"forecast_{arima_rep.model_name}.csv"
+    reports = run_comparison(
+        series, _lstm_config(args), arima.ArimaOrder.parse(args.order), args.refit, args.train_fraction
     )
-
-    naive = evaluation.naive_baseline(series.time, series.price, args.train_fraction)
-    reports.append(naive)
-    evaluation.emit_plot_data("forecast_overlay", naive, out_dir / f"forecast_{naive.model_name}.csv")
-
+    out_dir = Path(args.out_dir)
+    _write_reports(reports, out_dir)
+    evaluation.emit_plot_data("normalized_series", scale(series, fit_scaler(series)), out_dir / "normalized.csv")
     table = evaluation.compare(reports)
     # metrics.csv stays free of wall-clock values so repeat runs are
     # byte-identical; timings live in comparison.{txt,csv}

@@ -25,20 +25,26 @@ PRICE_AND_SENTIMENT = "price_and_sentiment"
 class MergedSeries:
     """Time-ordered rows of exactly (time, price, sentiment).
 
-    Timestamps must be strictly increasing. Prices may be NaN until
-    fill_missing has run (loaded files can have gaps); ±inf is rejected.
+    Timestamps must be strictly increasing. Prices and sentiment may be NaN
+    until fill_missing has run (loaded files can have gaps); an infinite
+    price or a sentiment outside [-1, 1] is rejected.
     """
 
     def __init__(self, time, price, sentiment):
-        self.time = np.asarray(time, dtype=np.int64)
+        try:
+            self.time = np.asarray(time, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("timestamps must fit in 64-bit integers") from None
         self.price = np.asarray(price, dtype=np.float64)
         self.sentiment = np.asarray(sentiment, dtype=np.float64)
         if not (len(self.time) == len(self.price) == len(self.sentiment)):
             raise ValueError("column lengths differ")
-        if len(self.time) > 1 and not np.all(np.diff(self.time) > 0):
+        if not np.all(self.time[1:] > self.time[:-1]):  # np.diff could wrap around
             raise ValueError("timestamps must be strictly increasing and unique")
-        if np.isinf(self.price).any() or np.isinf(self.sentiment).any():
-            raise ValueError("price and sentiment must not be infinite (NaN marks a gap)")
+        if np.isinf(self.price).any():
+            raise ValueError("price must not be infinite (NaN marks a gap)")
+        if (np.abs(self.sentiment) > 1.0).any():
+            raise ValueError("sentiment must lie in [-1, 1] (NaN marks a gap)")
 
     def __len__(self) -> int:
         return len(self.time)

@@ -25,7 +25,9 @@ def mse(actual, predicted) -> float:
         raise ValueError(f"length mismatch: {actual.shape} vs {predicted.shape}")
     if actual.size == 0:
         raise ValueError("empty input")
-    return float(np.mean((actual - predicted) ** 2))
+    # an inf or huge input gives an inf or nan error, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean((actual - predicted) ** 2))
 
 
 def rmse(actual, predicted) -> float:
@@ -42,7 +44,8 @@ def time_call(fn, *args, **kwargs):
 
 @dataclass
 class ForecastReport:
-    """Per-model predictions in USD with error metrics and timings."""
+    """Per-model predictions in USD with error metrics and timings, and the
+    per-epoch training loss of models that have one (None otherwise)."""
 
     model_name: str
     times: np.ndarray
@@ -52,6 +55,7 @@ class ForecastReport:
     rmse: float
     build_time_ms: float
     train_or_fit_time_ms: float
+    losses: list[float] | None = None
 
     @classmethod
     def create(
@@ -62,6 +66,7 @@ class ForecastReport:
         predicted,
         build_time_ms: float = 0.0,
         train_or_fit_time_ms: float = 0.0,
+        losses: list[float] | None = None,
     ) -> "ForecastReport":
         times = np.asarray(times)
         actual = np.asarray(actual, dtype=np.float64)
@@ -80,6 +85,7 @@ class ForecastReport:
             rmse=math.sqrt(err),
             build_time_ms=float(build_time_ms),
             train_or_fit_time_ms=float(train_or_fit_time_ms),
+            losses=losses,
         )
 
 

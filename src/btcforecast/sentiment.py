@@ -59,10 +59,7 @@ class Lexicon:
 
     def __init__(self, entries: dict[str, float]):
         for word, weight in entries.items():
-            if word != word.lower() or _has_whitespace(word):
-                raise ValueError(f"bad lexicon key: {word!r}")
-            if not -1.0 <= weight <= 1.0:
-                raise ValueError(f"lexicon weight out of range for {word!r}: {weight}")
+            _check_entry(word, weight)
         self.entries = dict(entries)
 
     def __len__(self) -> int:
@@ -73,27 +70,40 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
-        """Load a lexicon from a file with one ``word,weight`` pair per line."""
+        """Load a lexicon from a file with one ``word,weight`` pair per line
+        (blank lines skipped). A bad line is a one-line ValueError naming the
+        file and the line."""
         entries: dict[str, float] = {}
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                word, weight = line.rsplit(",", 1)
-                entries[word] = float(weight)
+        try:
+            with open(path, encoding="utf-8") as f:
+                for lineno, line in enumerate(f, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    word, comma, weight = line.rpartition(",")
+                    try:
+                        if not comma:
+                            raise ValueError("expected word,weight")
+                        entries[word] = float(weight)
+                        _check_entry(word, entries[word])
+                    except ValueError as e:
+                        raise ValueError(f"{path}:{lineno}: {e}") from None
+        except UnicodeDecodeError as e:  # decoded a chunk ahead: no line to name
+            raise ValueError(f"{path}: {e}") from None
         return cls(entries)
 
     @classmethod
     def bundled(cls) -> "Lexicon":
         """The lexicon shipped with the package (a few hundred entries)."""
-        text = resources.files("btcforecast.data").joinpath("lexicon.csv").read_text("utf-8")
-        entries = {}
-        for line in text.splitlines():
-            if line.strip():
-                word, weight = line.rsplit(",", 1)
-                entries[word] = float(weight)
-        return cls(entries)
+        with resources.as_file(resources.files("btcforecast.data") / "lexicon.csv") as path:
+            return cls.from_file(path)
+
+
+def _check_entry(word: str, weight: float) -> None:
+    if not word or word != word.lower() or _has_whitespace(word):
+        raise ValueError(f"bad lexicon key: {word!r}")
+    if not -1.0 <= weight <= 1.0:
+        raise ValueError(f"lexicon weight out of range for {word!r}: {weight}")
 
 
 def _has_whitespace(s: str) -> bool:
@@ -216,5 +226,14 @@ def write_sentiment_log(path: str | Path, records: list[SentimentRecord]) -> Non
 
 
 def read_sentiment_log(path: str | Path) -> list[tuple[int, float, str]]:
-    columns = {"timestamp": int, "polarity": float, "label": str}
+    columns = {"timestamp": int, "polarity": _polarity, "label": str}
     return [tuple(values) for _, values in read_table(path, columns)]
+
+
+def _polarity(field: str) -> float:
+    # checked per line: merge averages polarities per bucket, so a bad one
+    # could otherwise hide in a mean that lies in [-1, 1]
+    polarity = float(field)
+    if not -1.0 <= polarity <= 1.0:
+        raise ValueError(f"polarity outside [-1, 1]: {polarity}")
+    return polarity

@@ -38,7 +38,8 @@ def _rows(path, reader, columns: dict, exact: bool) -> Iterator[tuple[int, list]
     header = next(reader, [])
     expected = ",".join(columns)
     if exact and header != list(columns):
-        raise HeaderError(f"{path}: expected header {expected}, got {','.join(header)}")
+        got = ",".join(header)  # escaped if it holds a line break, to keep the error one line
+        raise HeaderError(f"{path}: expected header {expected}, got {got if got.isprintable() else repr(got)}")
     for name in columns:
         if name not in header:
             raise HeaderError(f"{path}: missing column {name!r} (expected {expected})")

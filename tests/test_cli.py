@@ -1,16 +1,29 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from btcforecast.cli import build_parser, run
-from btcforecast.dataset import MergedSeries
+from btcforecast.arima import ArimaOrder
+from btcforecast.cli import build_parser, run, run_comparison
+from btcforecast.dataset import MergedSeries, fill_missing
+from btcforecast.lstm import LstmConfig
 from btcforecast.synthetic import sine_series
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 FAST_LSTM = ["--epochs", "8", "--hidden", "6", "--lag", "2"]
 
 
@@ -90,12 +103,18 @@ class TestErrorPaths:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @staticmethod
+    def _set_field(merged: Path, out: Path, column: int, value: str) -> Path:
+        """A copy of a merged CSV with one field of line 51 replaced."""
+        lines = merged.read_text().splitlines()
+        fields = lines[50].split(",")
+        fields[column] = value
+        lines[50] = ",".join(fields)
+        out.write_text("\n".join(lines) + "\n")
+        return out
+
     def test_infinite_price_exits_1_without_lapack_noise(self, small_sine, tmp_path, capfd):
-        lines = small_sine.read_text().splitlines()
-        t, _, s = lines[50].split(",")
-        lines[50] = f"{t},inf,{s}"
-        bad = tmp_path / "inf.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad = self._set_field(small_sine, tmp_path / "inf.csv", 1, "inf")
         code = run(["train-arima", "--data", str(bad), "--out-dir", str(tmp_path / "out")])
         out, err = capfd.readouterr()
         assert code == 1
@@ -147,6 +166,14 @@ class TestErrorPaths:
                     "--out", str(tmp_path / "m.csv")])
         _assert_one_line_error(capfd, code, "sent.csv", "'polarity'")
 
+    def test_sentiment_log_polarity_outside_unit_range_exits_1(self, tmp_path, small_sine, capfd):
+        # the bucket mean of 1.5 and -0.5 would lie in [-1, 1]
+        sent = tmp_path / "sent.csv"
+        sent.write_text("timestamp,polarity,label\n1,1.5,Positive\n2,-0.5,Negative\n")
+        code = run(["merge", "--prices", str(small_sine), "--sentiment", str(sent),
+                    "--out", str(tmp_path / "m.csv")])
+        _assert_one_line_error(capfd, code, "sent.csv:2:", "'polarity'")
+
     def test_price_row_missing_a_field_exits_1(self, tmp_path, capfd):
         prices = tmp_path / "prices.csv"
         prices.write_text("time,price\n1\n")
@@ -158,6 +185,22 @@ class TestErrorPaths:
         prices.write_text("time,price\n60,100.5\n120,abc\n")
         code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
         _assert_one_line_error(capfd, code, "prices.csv:3:", "'price'")
+
+    def test_sentiment_outside_unit_range_exits_1(self, small_sine, tmp_path, capfd):
+        bad = self._set_field(small_sine, tmp_path / "sent3.csv", 2, "3.0")
+        code = run(["plot", "--kind", "normalized_series", "--in", str(bad), "--out", str(tmp_path / "n.csv")])
+        _assert_one_line_error(capfd, code, "sent3.csv", "[-1, 1]")
+
+    @pytest.mark.parametrize("line, where", [
+        (b"bad", "lex.csv:2:"), (b"bad,x", "lex.csv:2:"), (b",0.5", "lex.csv:2:"), (b"Bad,0.5", "lex.csv:2:"),
+        (b"bad,1.5", "lex.csv:2:"), (b"bad,nan", "lex.csv:2:"), (b"b\xffd,-0.5", "lex.csv: 'utf-8'"),
+    ])
+    def test_bad_lexicon_line_names_file_and_line(self, tmp_path, fixtures_dir, line, where, capfd):
+        lexicon = tmp_path / "lex.csv"
+        lexicon.write_bytes(b"good,0.5\n" + line + b"\n")
+        code = run(["sentiment", "--posts", str(fixtures_dir / "posts.csv"), "--lexicon", str(lexicon),
+                    "--out", str(tmp_path / "s.csv")])
+        _assert_one_line_error(capfd, code, where)
 
 
 class TestPipelineCommands:
@@ -286,3 +329,124 @@ class TestEvaluate:
             "loss_lstm_multi.csv",
         ):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+class TestOnePath:
+    """evaluate, train-lstm, train-arima and demo 06 build their reports
+    through cli.run_comparison and its parts."""
+
+    def test_model_commands_write_what_evaluate_writes(self, tmp_path, small_sine):
+        evaluated = _evaluate(tmp_path, small_sine, "eval")
+        lstm_dir, arima_dir = tmp_path / "lstm", tmp_path / "arima"
+        assert run(["train-lstm", "--data", str(small_sine), "--seed", "7", *FAST_LSTM,
+                    "--features", "price_and_sentiment", "--out-dir", str(lstm_dir)]) == 0
+        assert run(["train-arima", "--data", str(small_sine), "--order", "4,1,0",
+                    "--out-dir", str(arima_dir)]) == 0
+        written = [lstm_dir / "forecast_lstm_multi.csv", lstm_dir / "loss_lstm_multi.csv",
+                   arima_dir / "forecast_arima(4,1,0).csv"]
+        assert sorted(lstm_dir.iterdir()) + sorted(arima_dir.iterdir()) == written
+        for path in written:
+            assert path.read_bytes() == (evaluated / path.name).read_bytes(), path.name
+
+    def test_run_comparison_gives_the_rmses_in_metrics(self, tmp_path, small_sine):
+        evaluated = _evaluate(tmp_path, small_sine, "eval")
+        with open(evaluated / "metrics.csv", newline="") as f:
+            expected = {row["model"]: row["rmse"] for row in csv.DictReader(f)}
+        series = fill_missing(MergedSeries.from_csv(small_sine))
+        config = LstmConfig(hidden_size=6, lag=2, epochs=8, seed=7)
+        reports = run_comparison(series, config, ArimaOrder(4, 1, 0))
+        assert {r.model_name: repr(r.rmse) for r in reports} == expected
+
+    def test_demo_06_prints_the_comparison(self):
+        pythonpath = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "demos" / "06_model_comparison.py")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for model, rmse in (("lstm_multi", "68.382784"), ("naive_last_value", "120.000000"),
+                            ("arima(10,1,0)", "121.080060"), ("lstm_single", "176.692302")):
+            assert re.search(rf"^{re.escape(model)} +{rmse} ", proc.stdout, re.M), model
+        assert "cuts test RMSE by 61%" in proc.stdout
+
+
+# Valid inputs of the cheap commands; the fuzz test damages one of them.
+_VALID_INPUTS = {
+    "prices.csv": b"time,price\n60,100.5\n120,101.0\n180,99.75\n",
+    "sent.csv": b"timestamp,polarity,label\n30,0.5,Positive\n90,-0.25,Negative\n150,0.0,Neutral\n",
+    "posts.csv": b'timestamp,source,text\n1,twitter,"btc is good"\n2,reddit,"bad day, sell"\n',
+    "lexicon.csv": b"good,0.5\nbad,-0.5\n",
+    "forecast.csv": b"time,actual,predicted\n60,1.0,1.5\n120,2.0,1.75\n",
+    "loss.csv": b"epoch,loss\n0,0.5\n1,0.25\n",
+    "merged.csv": b"time,price,sentiment\n60,100.5,0.25\n120,,-0.5\n180,101.0,0.0\n",
+}
+# (input to damage, argv with paths relative to the input directory)
+_FUZZ_CASES = [
+    ("prices.csv", ["merge", "--prices", "prices.csv", "--sentiment", "sent.csv", "--bucket-s", "60",
+                    "--out", "out.csv"]),
+    ("sent.csv", ["merge", "--prices", "prices.csv", "--sentiment", "sent.csv", "--bucket-s", "60",
+                  "--out", "out.csv"]),
+    ("posts.csv", ["sentiment", "--posts", "posts.csv", "--lexicon", "lexicon.csv", "--out", "out.csv"]),
+    ("lexicon.csv", ["sentiment", "--posts", "posts.csv", "--lexicon", "lexicon.csv", "--out", "out.csv"]),
+    ("forecast.csv", ["plot", "--kind", "forecast_overlay", "--in", "forecast.csv", "--out", "out.csv"]),
+    ("loss.csv", ["plot", "--kind", "train_loss", "--in", "loss.csv", "--out", "out.csv"]),
+    ("merged.csv", ["plot", "--kind", "normalized_series", "--in", "merged.csv", "--out", "out.csv"]),
+]
+# bytes that break CSV structure, encoding or number syntax, and field
+# values at or past a boundary (empty, non-finite, overflowing, off range)
+_FRAGMENTS = [b"", b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"\xc3\xa9", b" ", b"-", b"nan", b"inf",
+              b"-inf", b"1e999", b"-1e308", b"9" * 25, b"-2", b"1.5", b"0x1", b"1_0"]
+_BYTES = st.one_of(st.binary(min_size=1, max_size=4), st.sampled_from(_FRAGMENTS))
+_POS = st.integers(0, 200)
+_MUTATIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("truncate"), _POS),
+        st.tuples(st.just("delete"), _POS, st.integers(1, 8)),
+        st.tuples(st.just("insert"), _POS, _BYTES),
+        st.tuples(st.just("replace"), _POS, _BYTES),
+        st.tuples(st.just("field"), _POS, _BYTES),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    for op, pos, *arg in mutations:
+        if op == "field":  # replace one comma/newline-separated field
+            parts = re.split(rb"([,\n])", data)
+            parts[2 * (pos % ((len(parts) + 1) // 2))] = arg[0]
+            data = b"".join(parts)
+            continue
+        pos %= len(data) + 1
+        if op == "truncate":
+            data = data[:pos]
+        elif op == "delete":
+            data = data[:pos] + data[pos + arg[0]:]
+        elif op == "insert":
+            data = data[:pos] + arg[0] + data[pos:]
+        else:
+            data = data[:pos] + arg[0] + data[pos + len(arg[0]):]
+    return data
+
+
+class TestInputFuzz:
+    @pytest.mark.parametrize("target,argv", _FUZZ_CASES, ids=[target for target, _ in _FUZZ_CASES])
+    @settings(max_examples=30, deadline=None)
+    @given(mutations=_MUTATIONS)
+    def test_damaged_input_exits_0_or_1_with_one_line(self, target, argv, mutations):
+        """A damaged input file is accepted (exit 0) or rejected with one
+        error line (exit 1); no exception or warning escapes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, data in _VALID_INPUTS.items():
+                (root / name).write_bytes(_mutate(data, mutations) if name == target else data)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = run([str(root / a) if a.endswith(".csv") else a for a in argv])
+        assert code in (0, 1)
+        lines = err.getvalue().splitlines()
+        assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error:")), lines

@@ -245,3 +245,13 @@ def test_merged_series_rejects_disorder():
         MergedSeries([2, 1], [1.0, 2.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         MergedSeries([1, 1], [1.0, 2.0], [0.0, 0.0])
+
+
+def test_merged_series_bounds_sentiment_and_timestamps():
+    MergedSeries([1, 2, 3], [1.0, 2.0, 3.0], [-1.0, math.nan, 1.0])  # the bounds and a gap pass
+    for sentiment in (1.5, -3.0, math.inf):
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            MergedSeries([1], [1.0], [sentiment])
+    with pytest.raises(ValueError, match="64-bit"):
+        MergedSeries([10**20], [1.0], [0.0])
+    MergedSeries([-9 * 10**18, 9 * 10**18], [1.0, 2.0], [0.0, 0.0])  # the difference is past 64 bits

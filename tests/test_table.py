@@ -25,6 +25,7 @@ def test_rows_come_in_column_order_converted_with_line_numbers(tmp_path):
         ("", False, HeaderError, r"t\.csv: missing column 'time'"),
         ("time,volume\n1,2\n", False, HeaderError, r"t\.csv: missing column 'price'"),
         ("price,time\n1,2\n", True, HeaderError, r"t\.csv: expected header time,price, got price,time"),
+        ('"time,price\n60,1\n', True, HeaderError, r"t\.csv: expected header time,price, got 'time,price\\n60,1\\n'"),
         ("time,price\n60,1\n120\n", False, ValueError, r"t\.csv:3: expected 2 fields, got 1"),
         ("time,price\n60,1,7\n", False, ValueError, r"t\.csv:2: expected 2 fields, got 3"),
         ("time,price\n60,abc\n", False, ValueError, r"t\.csv:2: column 'price': could not convert"),
