@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 from . import arima, evaluation, lstm, sentiment
@@ -25,6 +27,7 @@ from .dataset import (
     MergedSeries,
     fill_missing,
     fit_scaler,
+    int64_field,
     merge,
     scale,
     split,
@@ -75,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=PRICE_ONLY,
         help="input feature mode",
     )
-    p.add_argument("--save", default=None, help="write the trained model to this file")
     p.add_argument("--out-dir", default="out", help="directory for forecast/loss files")
 
     p = sub.add_parser("train-arima", help="fit ARIMA and roll one-step forecasts", formatter_class=fmt)
@@ -137,18 +139,26 @@ def _load_series(args) -> MergedSeries:
 
 def _read_price_stream(path: Path) -> list[tuple[int, float]]:
     """Accept either an ingest record log (timestamp,last) or a plain
-    time,price CSV."""
+    time,price CSV. Each row is checked on its line: a bad value would
+    otherwise surface only after bucketing, with no line to name."""
     for t_col, p_col in (("timestamp", "last"), ("time", "price")):
         try:
-            return [(t, p) for _, (t, p) in read_table(path, {t_col: int, p_col: float})]
+            return [(t, p) for _, (t, p) in read_table(path, {t_col: int64_field, p_col: _finite_price})]
         except HeaderError:
             continue
     raise ValueError(f"{path}: expected timestamp/last or time/price columns")
 
 
+def _finite_price(field: str) -> float:
+    price = float(field)
+    if not math.isfinite(price):
+        raise ValueError(f"price must be finite, got {price}")
+    return price
+
+
 def lstm_report(
     series: MergedSeries, features: str, config: lstm.LstmConfig, train_fraction: float = 0.7
-) -> tuple[lstm.LstmModel, evaluation.ForecastReport]:
+) -> evaluation.ForecastReport:
     """Train an LSTM on the chronological split of series and forecast its
     test range. The feature mode sets config.n_features."""
     scaler = fit_scaler(series)
@@ -158,7 +168,7 @@ def lstm_report(
     model, history = lstm.train(config, train_ds)
     predicted = lstm.predict_series(model, test_ds)
     actual = unscale_column(test_ds.targets, scaler, "price")
-    report = evaluation.ForecastReport.create(
+    return evaluation.ForecastReport.create(
         "lstm_single" if features == PRICE_ONLY else "lstm_multi",
         test_ds.target_times,
         actual,
@@ -167,7 +177,6 @@ def lstm_report(
         train_or_fit_time_ms=history.train_time_ms,
         losses=history.losses,
     )
-    return model, report
 
 
 def arima_report(
@@ -176,10 +185,11 @@ def arima_report(
     """Roll one-step ARIMA forecasts over the test range of series."""
     n_train, _ = train_test_counts(len(series), train_fraction)
     # rolling_forecast fits the training prefix itself, so there is no
-    # separate build step to time
-    preds, fit_ms = evaluation.time_call(
-        arima.rolling_forecast, series.price, order, train_fraction=train_fraction, refit=refit
-    )
+    # separate build step to time. It is called through the module so that
+    # a tracer that wraps arima.rolling_forecast sees the call.
+    t0 = time.perf_counter()
+    preds = arima.rolling_forecast(series.price, order, train_fraction=train_fraction, refit=refit)
+    fit_ms = (time.perf_counter() - t0) * 1000.0
     return evaluation.ForecastReport.create(
         f"arima{order}", series.time[n_train:], series.price[n_train:], preds, train_or_fit_time_ms=fit_ms
     )
@@ -192,7 +202,7 @@ def run_comparison(
     """The paper's comparison: single- and multi-feature LSTM, rolling ARIMA
     and the naive last-value baseline, each scored on one chronological
     split."""
-    reports = [lstm_report(series, f, config, train_fraction)[1] for f in (PRICE_ONLY, PRICE_AND_SENTIMENT)]
+    reports = [lstm_report(series, f, config, train_fraction) for f in (PRICE_ONLY, PRICE_AND_SENTIMENT)]
     reports.append(arima_report(series, order, refit, train_fraction))
     reports.append(evaluation.naive_baseline(series.time, series.price, train_fraction))
     return reports
@@ -270,10 +280,8 @@ def _cmd_merge(args) -> int:
 
 def _cmd_train_lstm(args) -> int:
     series = _load_series(args)
-    model, report = lstm_report(series, args.features, _lstm_config(args), args.train_fraction)
+    report = lstm_report(series, args.features, _lstm_config(args), args.train_fraction)
     _write_reports([report], Path(args.out_dir))
-    if args.save:
-        lstm.save_model(model, args.save)
     print(
         f"{report.model_name}: test RMSE {report.rmse:.6f} USD "
         f"(build {report.build_time_ms:.3f} ms, train {report.train_or_fit_time_ms:.3f} ms)"

@@ -7,14 +7,13 @@ sentiment the mean polarity of the posts in the bucket (0.0 when empty).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .table import read_table
+from .table import read_table, write_table
 
 COLUMNS = ("time", "price", "sentiment")
 
@@ -62,16 +61,14 @@ class MergedSeries:
         return list(zip(self.time.tolist(), self.price.tolist(), self.sentiment.tolist()))
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(COLUMNS)
-            for t, p, s in self.rows():
-                writer.writerow([t, "" if math.isnan(p) else repr(p), repr(s)])
+        """A NaN price (a gap) is written as an empty field."""
+        rows = ([t, "" if math.isnan(p) else repr(p), repr(s)] for t, p, s in self.rows())
+        write_table(path, COLUMNS, rows)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MergedSeries":
         time, price, sentiment = [], [], []
-        columns = dict(zip(COLUMNS, (int, _float_or_nan, _float_or_nan)))
+        columns = dict(zip(COLUMNS, (int64_field, _float_or_nan, _float_or_nan)))
         for _, (t, p, s) in read_table(path, columns, exact=True):
             time.append(t)
             price.append(p)
@@ -80,6 +77,15 @@ class MergedSeries:
             return cls(time, price, sentiment)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
+
+
+def int64_field(field: str) -> int:
+    """An integer field that fits the int64 time column, so that an
+    overflow is reported on its line."""
+    value = int(field)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("timestamp must fit in a 64-bit integer")
+    return value
 
 
 def _float_or_nan(field: str) -> float:
@@ -250,7 +256,11 @@ def to_supervised(series: MergedSeries, lag: int, features: str, scaler: ScalerP
 
 
 def train_test_counts(n: int, train_fraction: float = 0.7) -> tuple[int, int]:
-    """Chronological split sizes: (floor(train_fraction * n), remainder)."""
+    """Chronological split sizes: (floor(train_fraction * n), remainder).
+    Every split goes through here, so this is where train_fraction is
+    checked."""
+    if not 0.0 < train_fraction < 1.0:  # NaN fails the comparison too
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n_train = math.floor(train_fraction * n + 1e-9)
     return n_train, n - n_train
 
@@ -262,8 +272,6 @@ def split(
     n = len(dataset)
     if n < 2:
         raise ValueError("need at least 2 samples to split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
     k, _ = train_test_counts(n, train_fraction)
 
     def _take(sl: slice) -> SupervisedDataset:

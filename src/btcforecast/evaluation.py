@@ -1,18 +1,16 @@
-"""Forecast metrics, wall-clock timing, the naive baseline, and the
-model-comparison table with plot-ready data files."""
+"""Forecast metrics, the naive baseline, and the model-comparison table
+with plot-ready data files."""
 
 from __future__ import annotations
 
-import csv
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import MergedSeries, train_test_counts
-from .table import read_table
+from .table import read_table, write_table
 
 PLOT_KINDS = ("normalized_series", "train_loss", "forecast_overlay")
 
@@ -33,13 +31,6 @@ def mse(actual, predicted) -> float:
 def rmse(actual, predicted) -> float:
     """Root mean squared error."""
     return math.sqrt(mse(actual, predicted))
-
-
-def time_call(fn, *args, **kwargs):
-    """Run fn, returning (result, elapsed milliseconds on a monotonic clock)."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, (time.perf_counter() - t0) * 1000.0
 
 
 @dataclass
@@ -90,41 +81,23 @@ class ForecastReport:
 
 
 def naive_baseline(times, values, train_fraction: float = 0.7) -> ForecastReport:
-    """Predict each test value as the previous true value."""
+    """Predict each test value as the previous true value. Nothing is
+    fitted, so both timings are 0."""
     times = np.asarray(times)
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     n_train, n_test = train_test_counts(n, train_fraction)
     if n_test < 1 or n_train < 1:
         raise ValueError("series too short for a naive baseline")
-
-    def _predict():
-        return values[n_train - 1 : n - 1].copy()
-
-    preds, elapsed = time_call(_predict)
-    return ForecastReport.create(
-        "naive_last_value",
-        times[n_train:],
-        values[n_train:],
-        preds,
-        build_time_ms=0.0,
-        train_or_fit_time_ms=elapsed,
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    model_name: str
-    mse: float
-    rmse: float
-    build_time_ms: float
-    train_or_fit_time_ms: float
-    winner: bool
+    predicted = values[n_train - 1 : n - 1]
+    return ForecastReport.create("naive_last_value", times[n_train:], values[n_train:], predicted)
 
 
 @dataclass
 class ComparisonTable:
-    rows: list[ComparisonRow]
+    """Reports in ascending RMSE order; rows[0] is the winner."""
+
+    rows: list[ForecastReport]
 
     @property
     def winner(self) -> str:
@@ -133,8 +106,8 @@ class ComparisonTable:
     def to_text(self) -> str:
         header = f"{'model':<24}{'rmse':>14}{'mse':>16}{'build_ms':>12}{'fit_ms':>12}"
         lines = [header, "-" * len(header)]
-        for r in self.rows:
-            mark = " *" if r.winner else ""
+        for i, r in enumerate(self.rows):
+            mark = " *" if i == 0 else ""
             lines.append(
                 f"{r.model_name:<24}{r.rmse:>14.6f}{r.mse:>16.4f}"
                 f"{r.build_time_ms:>12.3f}{r.train_or_fit_time_ms:>12.3f}{mark}"
@@ -143,54 +116,19 @@ class ComparisonTable:
         return "\n".join(lines)
 
     def to_csv(self, path: str | Path, include_timings: bool = True) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            if include_timings:
-                writer.writerow(
-                    ["model", "mse", "rmse", "build_time_ms", "train_or_fit_time_ms", "winner"]
-                )
-                for r in self.rows:
-                    writer.writerow(
-                        [
-                            r.model_name,
-                            repr(r.mse),
-                            repr(r.rmse),
-                            repr(r.build_time_ms),
-                            repr(r.train_or_fit_time_ms),
-                            int(r.winner),
-                        ]
-                    )
-            else:
-                writer.writerow(["model", "mse", "rmse", "winner"])
-                for r in self.rows:
-                    writer.writerow([r.model_name, repr(r.mse), repr(r.rmse), int(r.winner)])
+        timings = ["build_time_ms", "train_or_fit_time_ms"] if include_timings else []
+        rows = (
+            [r.model_name, repr(r.mse), repr(r.rmse), *(repr(getattr(r, name)) for name in timings), int(i == 0)]
+            for i, r in enumerate(self.rows)
+        )
+        write_table(path, ["model", "mse", "rmse", *timings, "winner"], rows)
 
 
 def compare(reports: list[ForecastReport]) -> ComparisonTable:
-    """Rank reports by ascending RMSE (ties broken by name); flag the winner."""
+    """Rank reports by ascending RMSE (ties broken by name)."""
     if len(reports) < 2:
         raise ValueError("need at least 2 reports to compare")
-    ordered = sorted(reports, key=lambda r: (r.rmse, r.model_name))
-    rows = [
-        ComparisonRow(
-            model_name=r.model_name,
-            mse=r.mse,
-            rmse=r.rmse,
-            build_time_ms=r.build_time_ms,
-            train_or_fit_time_ms=r.train_or_fit_time_ms,
-            winner=(i == 0),
-        )
-        for i, r in enumerate(ordered)
-    ]
-    return ComparisonTable(rows)
-
-
-def _write_rows(path: str | Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+    return ComparisonTable(sorted(reports, key=lambda r: (r.rmse, r.model_name)))
 
 
 def emit_plot_data(kind: str, inputs, path: str | Path) -> Path:
@@ -203,7 +141,7 @@ def emit_plot_data(kind: str, inputs, path: str | Path) -> Path:
     if kind == "normalized_series":
         if not isinstance(inputs, MergedSeries):
             raise ValueError("normalized_series expects a MergedSeries")
-        _write_rows(
+        write_table(
             path,
             ["time", "price", "sentiment"],
             (
@@ -213,7 +151,7 @@ def emit_plot_data(kind: str, inputs, path: str | Path) -> Path:
         )
     elif kind == "train_loss":
         losses = inputs.losses if hasattr(inputs, "losses") else list(inputs)
-        _write_rows(
+        write_table(
             path,
             ["epoch", "loss"],
             ([i, repr(float(v))] for i, v in enumerate(losses)),
@@ -221,7 +159,7 @@ def emit_plot_data(kind: str, inputs, path: str | Path) -> Path:
     elif kind == "forecast_overlay":
         if not isinstance(inputs, ForecastReport):
             raise ValueError("forecast_overlay expects a ForecastReport")
-        _write_rows(
+        write_table(
             path,
             ["time", "actual", "predicted"],
             (

@@ -36,6 +36,8 @@ class RecordLog:
             self._write_row(list(self.columns))
 
     def _write_row(self, row: list[str]) -> None:
+        # not table.write_table: a log is appended to and flushed one record
+        # at a time, so that a crash leaves at most one partial line
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(row)
         self._handle.write(buf.getvalue())
@@ -68,6 +70,3 @@ class RecordLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __len__(self) -> int:
-        return len(self.read())

@@ -36,8 +36,8 @@ class SourceConfig:
     poll_interval: float = 60.0
 
     def __post_init__(self):
-        if self.poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
+        if not 0 < self.poll_interval < math.inf:
+            raise ValueError("poll_interval must be finite and > 0")
         if not (self.base_url.startswith("http://") or self.base_url.startswith("https://")):
             raise ValueError(f"base_url must be absolute: {self.base_url!r}")
         if self.schema not in SCHEMAS:
@@ -213,16 +213,37 @@ def row_to_record(schema: str, values: list) -> PriceTick | MarketSnapshot:
 
 
 def load_sources(path: str | Path) -> list[SourceConfig]:
-    """Read a JSON config file: a list of source entries."""
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a JSON config file: a list of source objects with string name,
+    base_url and schema fields and an optional poll_interval_s (default 60).
+    A malformed file raises a one-line ValueError naming the file and the
+    offending entry."""
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: {e}") from None
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: expected a JSON list of sources, got {type(entries).__name__}")
     configs = []
-    for entry in entries:
-        configs.append(
-            SourceConfig(
-                name=entry["name"],
-                base_url=entry["base_url"],
-                schema=entry["schema"],
-                poll_interval=float(entry.get("poll_interval_s", 60.0)),
-            )
-        )
+    for i, entry in enumerate(entries):
+        try:
+            configs.append(_source_config(entry))
+        except ValueError as e:
+            raise ValueError(f"{path}: entry {i}: {e}") from None
+        if configs[-1].name in {c.name for c in configs[:-1]}:
+            # each source writes the log <name>.csv, which one writer owns
+            raise ValueError(f"{path}: entry {i}: duplicate name {configs[-1].name!r}")
     return configs
+
+
+def _source_config(entry) -> SourceConfig:
+    if not isinstance(entry, dict):
+        raise ValueError(f"expected an object, got {type(entry).__name__}")
+    for key in ("name", "base_url", "schema"):
+        if not isinstance(entry.get(key), str):
+            raise ValueError(f"{key!r} must be a string")
+    interval = entry.get("poll_interval_s", 60.0)
+    try:
+        interval = float(interval)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"'poll_interval_s' must be a number, got {interval!r}") from None
+    return SourceConfig(entry["name"], entry["base_url"], entry["schema"], interval)

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import SupervisedDataset, unscale_column
 
 PARAM_NAMES = ("W", "b", "Wd", "bd")
-MODEL_FILE_VERSION = "2"
 
 
 class TrainingDiverged(RuntimeError):
@@ -201,20 +199,6 @@ def _backward_batch(model: LstmModel, cache: _Cache, d_pred: np.ndarray) -> dict
     return grads
 
 
-def forward(model: LstmModel, window: np.ndarray) -> tuple[float, _Cache]:
-    """Prediction for one (lag, n_features) window, plus the cache backward needs."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim == 1:
-        window = window[:, None]
-    preds, cache = _forward_batch(model, window[None, :, :])
-    return float(preds[0]), cache
-
-
-def backward(model: LstmModel, cache: _Cache, d_prediction: float) -> dict[str, np.ndarray]:
-    """Gradients of d_prediction * prediction w.r.t. every parameter (BPTT)."""
-    return _backward_batch(model, cache, np.array([float(d_prediction)]))
-
-
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
@@ -285,63 +269,3 @@ def predict_scaled(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
     preds, _ = _forward_batch(model, np.asarray(dataset.inputs, dtype=np.float64))
     return preds
 
-
-def save_model(model: LstmModel, path: str | Path) -> None:
-    """Flat text format: a ``btcforecast-lstm 2`` line, the n_features,
-    hidden_size and lag lines, then per tensor a ``name dims...`` line
-    followed by the row-major values."""
-    lines = [
-        f"btcforecast-lstm {MODEL_FILE_VERSION}",
-        f"n_features {model.n_features}",
-        f"hidden_size {model.hidden_size}",
-        f"lag {model.lag}",
-    ]
-    for name, p in model.params().items():
-        dims = " ".join(str(d) for d in p.shape)
-        lines.append(f"{name} {dims}")
-        lines.append(" ".join(repr(v) for v in p.ravel().tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def load_model(path: str | Path) -> LstmModel:
-    """Read a file written by save_model; any other version, a missing or
-    extra tensor, or a tensor shape that disagrees with the header raises
-    ValueError."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    magic = lines[0].split() if lines else []
-    if len(magic) != 2 or magic[0] != "btcforecast-lstm":
-        raise ValueError(f"not a model file: {path}")
-    if magic[1] != MODEL_FILE_VERSION:
-        raise ValueError(
-            f"{path}: model file version {magic[1]} is not supported (expected {MODEL_FILE_VERSION})"
-        )
-    meta = {}
-    for line in lines[1:4]:
-        key, value = line.split()
-        meta[key] = int(value)
-    if set(meta) != {"n_features", "hidden_size", "lag"}:
-        raise ValueError(f"{path}: expected n_features, hidden_size and lag header lines")
-    tensors: dict[str, np.ndarray] = {}
-    i = 4
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        head = lines[i].split()
-        name, shape = head[0], tuple(int(d) for d in head[1:])
-        if i + 1 == len(lines):
-            raise ValueError(f"{path}: tensor {name} has no values line")
-        values = np.array([float(v) for v in lines[i + 1].split()])
-        tensors[name] = values.reshape(shape)
-        i += 2
-    if set(tensors) != set(PARAM_NAMES):
-        raise ValueError(f"{path}: expected tensors {list(PARAM_NAMES)}, found {sorted(tensors)}")
-    h, f = meta["hidden_size"], meta["n_features"]
-    expected = {"W": (4 * h, h + f), "b": (4 * h,), "Wd": (1, h), "bd": (1,)}
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise ValueError(
-                f"{path}: tensor {name} has shape {tensors[name].shape}, but hidden_size {h} "
-                f"and n_features {f} need {shape}"
-            )
-    return LstmModel(**tensors, **meta)

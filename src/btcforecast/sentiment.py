@@ -14,7 +14,7 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
-from .table import read_table
+from .table import read_table, write_table
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -209,6 +209,7 @@ def read_posts(path: str | Path) -> list[RawPost]:
 
 
 def write_posts(path: str | Path, posts: list[RawPost]) -> None:
+    # not table.write_table: posts files quote every non-numeric field
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(POST_COLUMNS)
@@ -218,11 +219,8 @@ def write_posts(path: str | Path, posts: list[RawPost]) -> None:
 
 def write_sentiment_log(path: str | Path, records: list[SentimentRecord]) -> None:
     """Write scored records as ``timestamp,polarity,label`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["timestamp", "polarity", "label"])
-        for r in records:
-            writer.writerow([r.timestamp, repr(r.polarity), r.label])
+    rows = ([r.timestamp, repr(r.polarity), r.label] for r in records)
+    write_table(path, ["timestamp", "polarity", "label"], rows)
 
 
 def read_sentiment_log(path: str | Path) -> list[tuple[int, float, str]]:

@@ -1,9 +1,9 @@
-"""The one CSV-table reader behind every CSV file the program loads."""
+"""The one CSV-table reader and writer behind the program's CSV files."""
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 
@@ -60,3 +60,12 @@ def _rows(path, reader, columns: dict, exact: bool) -> Iterator[tuple[int, list]
                     raise ValueError(f"{path}:{reader.line_num}: column {name!r}: {e}") from None
             raise
         yield reader.line_num, values
+
+
+def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write header, then each row of rows as it is produced, as a UTF-8 CSV
+    table with LF line endings."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -1,10 +1,25 @@
-"""Shared finite-difference gradient oracle for the LSTM tests."""
+"""Single-window forward/backward wrappers and the shared finite-difference
+gradient oracle for the LSTM tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from btcforecast.lstm import LstmModel, forward
+from btcforecast.lstm import LstmModel, _backward_batch, _Cache, _forward_batch
+
+
+def forward(model: LstmModel, window) -> tuple[float, _Cache]:
+    """Prediction for one (lag, n_features) window, plus the cache backward needs."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim == 1:
+        window = window[:, None]
+    preds, cache = _forward_batch(model, window[None, :, :])
+    return float(preds[0]), cache
+
+
+def backward(model: LstmModel, cache: _Cache, d_prediction: float) -> dict[str, np.ndarray]:
+    """Gradients of d_prediction * prediction w.r.t. every parameter (BPTT)."""
+    return _backward_batch(model, cache, np.array([float(d_prediction)]))
 
 
 def fd_gradients(model: LstmModel, window, d_pred: float, h_step: float = 1e-5):

@@ -26,10 +26,10 @@ from btcforecast.dataset import (
     train_test_counts,
     unscale,
 )
-from btcforecast.lstm import LstmConfig, backward, forward, init, train
+from btcforecast.lstm import LstmConfig, init, train
 from btcforecast.sentiment import classify, normalize_text
 from btcforecast.synthetic import ar_process, random_walk, signal_sentiment_series
-from gradcheck import fd_gradients, max_rel_err
+from gradcheck import backward, fd_gradients, forward, max_rel_err
 
 FIXTURE_SINE = Path(__file__).resolve().parent.parent / "fixtures" / "sine.csv"
 

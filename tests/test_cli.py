@@ -3,8 +3,10 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcforecast import cli
 from btcforecast.arima import ArimaOrder
 from btcforecast.cli import build_parser, run, run_comparison
 from btcforecast.dataset import MergedSeries, fill_missing
@@ -88,6 +91,10 @@ def _assert_one_line_error(capfd, code, *names):
         assert name in err
     assert "Traceback" not in out + err
     return out
+
+
+# a valid ingest source; nothing listens on port 1
+_SOURCE = {"name": "a", "base_url": "http://127.0.0.1:1/", "schema": "bitstamp_ticker"}
 
 
 class TestErrorPaths:
@@ -191,6 +198,41 @@ class TestErrorPaths:
         code = run(["plot", "--kind", "normalized_series", "--in", str(bad), "--out", str(tmp_path / "n.csv")])
         _assert_one_line_error(capfd, code, "sent3.csv", "[-1, 1]")
 
+    @pytest.mark.parametrize("row, column", [("120,inf", "'price'"), ("1" + "0" * 24 + ",100.5", "'time'")])
+    def test_bad_price_row_names_file_line_and_column(self, tmp_path, row, column, capfd):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(f"time,price\n60,100.5\n{row}\n")
+        code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
+        _assert_one_line_error(capfd, code, "prices.csv:3:", column)
+
+    def test_timestamp_past_64_bits_names_line(self, small_sine, tmp_path, capfd):
+        bad = self._set_field(small_sine, tmp_path / "big.csv", 0, "9" * 25)
+        code = run(["train-arima", "--data", str(bad), "--out-dir", str(tmp_path / "out")])
+        _assert_one_line_error(capfd, code, "big.csv:51:", "'time'", "64-bit")
+
+    @pytest.mark.parametrize("command", ["train-arima", "train-lstm", "evaluate"])
+    @pytest.mark.parametrize("fraction", ["1e308", "nan", "-0.5", "0", "1.0"])
+    def test_train_fraction_outside_unit_interval_exits_1(self, small_sine, tmp_path, command, fraction, capfd):
+        code = run([command, "--data", str(small_sine), "--train-fraction", fraction,
+                    "--out-dir", str(tmp_path / "out"), *([] if command == "train-arima" else FAST_LSTM)])
+        _assert_one_line_error(capfd, code, "train_fraction")
+
+    @pytest.mark.parametrize("config, where", [
+        (_SOURCE, "cfg.json: expected a JSON list"),
+        ([1], "cfg.json: entry 0:"),
+        ([{"name": "a", "schema": "bitstamp_ticker"}], "cfg.json: entry 0: 'base_url'"),
+        ([dict(_SOURCE, poll_interval_s="often")], "cfg.json: entry 0: 'poll_interval_s'"),
+        ([dict(_SOURCE, poll_interval_s=10**400)], "cfg.json: entry 0: 'poll_interval_s'"),
+        ([dict(_SOURCE, poll_interval_s=math.nan)], "cfg.json: entry 0: poll_interval"),
+        ([dict(_SOURCE, poll_interval_s=math.inf)], "cfg.json: entry 0: poll_interval"),
+        ([_SOURCE, _SOURCE], "cfg.json: entry 1: duplicate name"),
+    ])
+    def test_malformed_ingest_config_names_file_and_entry(self, tmp_path, config, where, capfd):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = run(["ingest", "--config", str(path), "--out-dir", str(tmp_path / "logs"), "--max-polls", "1"])
+        _assert_one_line_error(capfd, code, where)
+
     @pytest.mark.parametrize("line, where", [
         (b"bad", "lex.csv:2:"), (b"bad,x", "lex.csv:2:"), (b",0.5", "lex.csv:2:"), (b"Bad,0.5", "lex.csv:2:"),
         (b"bad,1.5", "lex.csv:2:"), (b"bad,nan", "lex.csv:2:"), (b"b\xffd,-0.5", "lex.csv: 'utf-8'"),
@@ -240,15 +282,10 @@ class TestPipelineCommands:
 
     def test_train_lstm_writes_outputs(self, tmp_path, small_sine):
         out_dir = tmp_path / "out"
-        model_path = tmp_path / "model.txt"
-        code = run(
-            ["train-lstm", "--data", str(small_sine), "--out-dir", str(out_dir),
-             "--save", str(model_path), *FAST_LSTM]
-        )
+        code = run(["train-lstm", "--data", str(small_sine), "--out-dir", str(out_dir), *FAST_LSTM])
         assert code == 0
         assert (out_dir / "forecast_lstm_single.csv").exists()
         assert (out_dir / "loss_lstm_single.csv").exists()
-        assert model_path.exists()
 
     def test_train_arima_names_default_order(self, tmp_path, small_sine, capsys):
         code = run(
@@ -369,6 +406,34 @@ class TestOnePath:
                             ("arima(10,1,0)", "121.080060"), ("lstm_single", "176.692302")):
             assert re.search(rf"^{re.escape(model)} +{rmse} ", proc.stdout, re.M), model
         assert "cuts test RMSE by 61%" in proc.stdout
+
+
+def _perfbench_spans():
+    """perfbench/spans.py, imported by path: it is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", REPO_ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceGuard:
+    """The benchmark's tracer wraps module attributes; a refactor that calls
+    a layer through another name would make its per-layer metric read 0."""
+
+    def test_evaluate_reaches_every_traced_layer(self, tmp_path, small_sine):
+        spans = _perfbench_spans()
+        tracer = spans.Tracer()
+        spans.instrument(tracer)
+        try:
+            code = cli.run(["evaluate", "--data", str(small_sine), "--out-dir", str(tmp_path / "out"),
+                            "--order", "4,1,0", *FAST_LSTM])
+        finally:
+            tracer.restore()
+        assert code == 0
+        traced = {span[2] for span in tracer.spans}
+        for name in ("lstm.train", "lstm.adam_step", "lstm.predict_series", "arima.rolling_forecast",
+                     "arima.fit", "dataset.to_supervised", "evaluation.emit_plot_data"):
+            assert name in traced, name
 
 
 # Valid inputs of the cheap commands; the fuzz test damages one of them.

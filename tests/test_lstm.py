@@ -19,16 +19,12 @@ from btcforecast.lstm import (
     LstmModel,
     TrainingDiverged,
     adam_step,
-    backward,
-    forward,
     init,
-    load_model,
     predict_series,
-    save_model,
     train,
 )
 from btcforecast.synthetic import sine_series
-from gradcheck import fd_gradients, max_rel_err
+from gradcheck import backward, fd_gradients, forward, max_rel_err
 
 
 def _zero_model(hidden=3, features=1, lag=2):
@@ -304,43 +300,3 @@ def test_multi_feature_with_zero_sentiment_matches_single_feature():
         p2, _ = forward(multi, window2)
         assert abs(p1 - p2) < 1e-9
 
-
-def test_model_save_load_roundtrip(tmp_path):
-    model = init(LstmConfig(n_features=2, hidden_size=7, lag=5, seed=13))
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    back = load_model(path)
-    assert (back.n_features, back.hidden_size, back.lag) == (2, 7, 5)
-    for name in lstm.PARAM_NAMES:
-        assert np.array_equal(getattr(back, name), getattr(model, name))
-
-
-def test_model_load_rejects_other_versions(tmp_path):
-    path = tmp_path / "model.txt"
-    save_model(init(LstmConfig(hidden_size=3, seed=0)), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for version in ("1", "9"):
-        path.write_text("\n".join([f"btcforecast-lstm {version}"] + lines[1:]) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"version {version}") as excinfo:
-            load_model(path)
-        assert str(path) in str(excinfo.value) and "\n" not in str(excinfo.value)
-
-
-def test_model_load_rejects_truncated_file(tmp_path):
-    path = tmp_path / "model.txt"
-    save_model(init(LstmConfig(hidden_size=3, seed=0)), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bd has no values") as excinfo:
-        load_model(path)
-    assert str(path) in str(excinfo.value)
-
-
-def test_model_load_rejects_shape_header_mismatch(tmp_path):
-    path = tmp_path / "model.txt"
-    save_model(init(LstmConfig(hidden_size=3, seed=0)), path)
-    text = path.read_text(encoding="utf-8").replace("hidden_size 3", "hidden_size 5")
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match="shape") as excinfo:
-        load_model(path)
-    assert str(path) in str(excinfo.value) and "\n" not in str(excinfo.value)

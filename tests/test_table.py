@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from btcforecast.dataset import MergedSeries
+from btcforecast.evaluation import ForecastReport, compare, emit_plot_data
+from btcforecast.sentiment import SentimentRecord, write_sentiment_log
 from btcforecast.table import HeaderError, read_table
 
 COLUMNS = {"time": int, "price": float}
@@ -37,3 +42,39 @@ def test_malformed_table_is_one_line_error(tmp_path, text, exact, error, message
     with pytest.raises(error, match=message) as excinfo:
         list(read_table(_table(tmp_path, text), COLUMNS, exact=exact))
     assert len(str(excinfo.value).splitlines()) == 1
+
+
+def _writers():
+    """(name, write(path), expected bytes) of every writer built on
+    write_table; the bytes were recorded before the writers shared it."""
+    series = MergedSeries([60, 120, 180], [6500.5, math.nan, 1 / 3], [0.1, -1.0, 0.0])
+    records = [SentimentRecord(5, ("good",), 0.7, "Positive"), SentimentRecord(9, (), -1 / 3, "Negative")]
+    report = ForecastReport.create("arima(1,1,1)", [60, 120], [1.5, 0.1], [1.25, 0.2], 0.5, 12.25)
+    naive = ForecastReport.create("naive_last_value", [60, 120], [1.5, 0.1], [1.5, 1.5])
+    table = compare([report, naive])
+    merged = b"time,price,sentiment\n60,6500.5,0.1\n120,,-1.0\n180,0.3333333333333333,0.0\n"
+    return [
+        ("merged", series.to_csv, merged),
+        ("sentiment_log", lambda p: write_sentiment_log(p, records),
+         b"timestamp,polarity,label\n5,0.7,Positive\n9,-0.3333333333333333,Negative\n"),
+        ("normalized_series", lambda p: emit_plot_data("normalized_series", series, p),
+         merged.replace(b"120,,", b"120,nan,")),
+        ("train_loss", lambda p: emit_plot_data("train_loss", [0.5, 1e-7, 2 / 3], p),
+         b"epoch,loss\n0,0.5\n1,1e-07\n2,0.6666666666666666\n"),
+        ("forecast_overlay", lambda p: emit_plot_data("forecast_overlay", report, p),
+         b"time,actual,predicted\n60,1.5,1.25\n120,0.1,0.2\n"),
+        ("comparison_timings", lambda p: table.to_csv(p, include_timings=True),
+         b'model,mse,rmse,build_time_ms,train_or_fit_time_ms,winner\n'
+         b'"arima(1,1,1)",0.036250000000000004,0.19039432764659772,0.5,12.25,1\n'
+         b'naive_last_value,0.9799999999999999,0.9899494936611665,0.0,0.0,0\n'),
+        ("comparison_metrics", lambda p: table.to_csv(p, include_timings=False),
+         b'model,mse,rmse,winner\n"arima(1,1,1)",0.036250000000000004,0.19039432764659772,1\n'
+         b'naive_last_value,0.9799999999999999,0.9899494936611665,0\n'),
+    ]
+
+
+@pytest.mark.parametrize("name, write, expected", _writers(), ids=[case[0] for case in _writers()])
+def test_writer_output_is_byte_exact(tmp_path, name, write, expected):
+    path = tmp_path / f"{name}.csv"
+    write(path)
+    assert path.read_bytes() == expected
