@@ -20,6 +20,8 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import arima, evaluation, lstm, sentiment
 from .dataset import (
     PRICE_AND_SENTIMENT,
@@ -165,8 +167,13 @@ def lstm_report(
     ds = to_supervised(scale(series, scaler), config.lag, features, scaler)
     train_ds, test_ds = split(ds, train_fraction)
     config = dataclasses.replace(config, n_features=len(ds.feature_names))
-    model, history = lstm.train(config, train_ds)
-    predicted = lstm.predict_series(model, test_ds)
+    # A large learning rate saturates the gates: exp overflows to inf and
+    # the sigmoid reaches its exact limit 0. Divergence is not lost: train
+    # stops on a non-finite loss. train's worker thread runs in a copy of
+    # this context, so the setting reaches it.
+    with np.errstate(over="ignore"):
+        model, history = lstm.train(config, train_ds)
+        predicted = lstm.predict_series(model, test_ds)
     actual = unscale_column(test_ds.targets, scaler, "price")
     return evaluation.ForecastReport.create(
         "lstm_single" if features == PRICE_ONLY else "lstm_multi",

@@ -14,15 +14,29 @@ the last axis: h and c are (H, n), z is (H+F, n), so one W @ z per step
 gives all four gates, each a contiguous row block of a. Training minimizes
 mean absolute error with one Adam step per epoch (full batch), which makes
 runs bit-reproducible for a fixed seed. Everything is float64.
+
+Each epoch splits the batch into two fixed halves. Each half has a
+workspace, allocated once per training, that forward and backward write in
+place, and the two halves run on up to two threads (worker_count). The main
+thread sums their |residual| totals and gradients, first half first, before
+the one Adam step. The split does not depend on the machine, and importing
+btcforecast pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS default to 1; a value the caller set wins), so the bits
+of a run do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import BLAS_PINNED
 from .dataset import SupervisedDataset, unscale_column
 
 PARAM_NAMES = ("W", "b", "Wd", "bd")
@@ -46,8 +60,8 @@ class LstmConfig:
             raise ValueError("n_features must be 1 or 2")
         if self.hidden_size < 1 or self.lag < 1 or self.epochs < 0:
             raise ValueError("hidden_size and lag must be positive, epochs >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -129,73 +143,112 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
     np.divide(1.0, x, out=x)
 
 
-@dataclass
-class _Cache:
-    z: list[np.ndarray]       # (h+f, n) per step
-    gates: list[np.ndarray]   # (4h, n) per step: activated f, i, o, g rows
-    c_prev: list[np.ndarray]
-    tanh_c: list[np.ndarray]
-    h_last: np.ndarray        # (h, n)
+class _Workspace:
+    """Every buffer that forward and backward over one (n, lag, n_features)
+    batch need, allocated once and written in place. z[t] = [h; x] at step
+    t: its x rows are filled here and never change, its h rows (zero at
+    t = 0) are written by step t - 1. c[t] is the cell state entering step
+    t, so c[0] = 0 and c[lag] is the final state."""
+
+    def __init__(self, model: LstmModel, windows: np.ndarray):
+        n, lag, f = windows.shape
+        h = model.hidden_size
+        if f != model.n_features:
+            raise ValueError(f"model expects {model.n_features} features, got {f}")
+        if not np.isfinite(windows).all():
+            raise ValueError("non-finite input window")
+        self.z = np.zeros((lag, h + f, n))
+        self.z[:, h:, :] = windows.transpose(1, 2, 0)
+        self.gates = np.empty((lag, 4 * h, n))      # activated f, i, o, g rows
+        self.gate_rows = [np.split(g, 4) for g in self.gates]
+        self.c = np.zeros((lag + 1, h, n))
+        self.tanh_c = np.empty((lag, h, n))
+        self.h_last = np.empty((h, n))
+        self.dH = np.empty((h, n))
+        self.dC = np.empty((h, n))
+        self.da = np.empty((4 * h, n))              # gradient w.r.t. the pre-activations
+        self.da_rows = np.split(self.da, 4)
+        self.scratch = np.empty((2, h, n))
+        self.grads = {name: np.empty_like(p) for name, p in model.params().items()}
+        self.dW = np.empty_like(model.W)
+        self.db = np.empty_like(model.b)
 
 
-def _forward_batch(model: LstmModel, windows: np.ndarray) -> tuple[np.ndarray, _Cache]:
-    """Run the recurrence over a (n, lag, n_features) batch."""
-    n, lag, f = windows.shape
+def _forward_batch(model: LstmModel, ws: _Workspace) -> np.ndarray:
+    """Run the recurrence over the workspace's batch; returns one prediction
+    per sample and leaves in ws what backward needs."""
     h = model.hidden_size
-    if f != model.n_features:
-        raise ValueError(f"model expects {model.n_features} features, got {f}")
-    if not np.isfinite(windows).all():
-        raise ValueError("non-finite input window")
-
-    H = np.zeros((h, n))
-    C = np.zeros((h, n))
+    lag = len(ws.z)
     b = model.b[:, None]
-    cache = _Cache([], [], [], [], H)
+    tmp = ws.scratch[0]
     for t in range(lag):
-        z = np.concatenate([H, windows[:, t, :].T], axis=0)
-        gates = model.W @ z
+        gates = ws.gates[t]
+        np.matmul(model.W, ws.z[t], out=gates)
         gates += b
         _sigmoid_inplace(gates[: 3 * h])
         np.tanh(gates[3 * h :], out=gates[3 * h :])
-        ft, it, ot, gt = np.split(gates, 4)
-        cache.z.append(z)
-        cache.gates.append(gates)
-        cache.c_prev.append(C)
-        C = ft * C + it * gt
-        tanh_c = np.tanh(C)
-        cache.tanh_c.append(tanh_c)
-        H = ot * tanh_c
-    cache.h_last = H
-    pred = model.Wd @ H + model.bd[:, None]
-    return pred[0], cache
+        ft, it, ot, gt = ws.gate_rows[t]
+        C = ws.c[t + 1]
+        np.multiply(ft, ws.c[t], out=C)
+        np.multiply(it, gt, out=tmp)
+        C += tmp
+        np.tanh(C, out=ws.tanh_c[t])
+        H = ws.z[t + 1, :h] if t + 1 < lag else ws.h_last
+        np.multiply(ot, ws.tanh_c[t], out=H)
+    pred = model.Wd @ ws.h_last + model.bd[:, None]
+    return pred[0]
 
 
-def _backward_batch(model: LstmModel, cache: _Cache, d_pred: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients, summed over the batch weighted by d_pred."""
+def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact gradients, summed over the batch weighted by d_pred, after a
+    _forward_batch of model over ws. They are written into ws.grads, which
+    the next call overwrites."""
     h = model.hidden_size
-    grads = {name: np.zeros_like(p) for name, p in model.params().items()}
-
-    grads["Wd"] += d_pred[None, :] @ cache.h_last.T
-    grads["bd"] += d_pred.sum(keepdims=True)
-    dH = np.outer(model.Wd[0], d_pred)
-    dC = np.zeros_like(dH)
-    W_h = model.W[:, :h]
-    # gradient w.r.t. the pre-activations a, in the f, i, o, g rows of W;
-    # each step overwrites it through the four row-block views
-    da = np.empty((4 * h, len(d_pred)))
-    da_f, da_i, da_o, da_g = np.split(da, 4)
-    for t in reversed(range(len(cache.z))):
-        ft, it, ot, gt = np.split(cache.gates[t], 4)
-        tanh_c = cache.tanh_c[t]
-        dC = dC + dH * ot * (1.0 - tanh_c * tanh_c)
-        da_f[:] = dC * cache.c_prev[t] * ft * (1.0 - ft)
-        da_i[:] = dC * gt * it * (1.0 - it)
-        da_o[:] = dH * tanh_c * ot * (1.0 - ot)
-        da_g[:] = dC * it * (1.0 - gt * gt)
-        grads["W"] += da @ cache.z[t].T
-        grads["b"] += da.sum(axis=1)
-        dH = W_h.T @ da
-        dC = dC * ft
+    grads = ws.grads
+    np.matmul(d_pred[None, :], ws.h_last.T, out=grads["Wd"])
+    grads["bd"][0] = d_pred.sum()
+    grads["W"].fill(0.0)
+    grads["b"].fill(0.0)
+    dH, dC, da = ws.dH, ws.dC, ws.da
+    np.multiply(model.Wd[0][:, None], d_pred[None, :], out=dH)
+    dC.fill(0.0)
+    W_hT = model.W[:, :h].T
+    da_f, da_i, da_o, da_g = ws.da_rows
+    s, u = ws.scratch
+    # each expression is evaluated left to right, as written in the comments
+    for t in reversed(range(len(ws.z))):
+        ft, it, ot, gt = ws.gate_rows[t]
+        tanh_c = ws.tanh_c[t]
+        # dC += dH * ot * (1 - tanh_c * tanh_c)
+        np.multiply(tanh_c, tanh_c, out=s)
+        np.subtract(1.0, s, out=s)
+        np.multiply(dH, ot, out=u)
+        u *= s
+        dC += u
+        # da_f = dC * c_prev * ft * (1 - ft)
+        np.multiply(dC, ws.c[t], out=da_f)
+        da_f *= ft
+        np.subtract(1.0, ft, out=s)
+        da_f *= s
+        # da_i = dC * gt * it * (1 - it)
+        np.multiply(dC, gt, out=da_i)
+        da_i *= it
+        np.subtract(1.0, it, out=s)
+        da_i *= s
+        # da_o = dH * tanh_c * ot * (1 - ot)
+        np.multiply(dH, tanh_c, out=da_o)
+        da_o *= ot
+        np.subtract(1.0, ot, out=s)
+        da_o *= s
+        # da_g = dC * it * (1 - gt * gt)
+        np.multiply(dC, it, out=da_g)
+        np.multiply(gt, gt, out=s)
+        np.subtract(1.0, s, out=s)
+        da_g *= s
+        grads["W"] += np.matmul(da, ws.z[t].T, out=ws.dW)
+        grads["b"] += np.sum(da, axis=1, out=ws.db)
+        np.matmul(W_hT, da, out=dH)
+        dC *= ft
     return grads
 
 
@@ -222,8 +275,37 @@ def adam_step(
     return new_params, AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
 
 
+def worker_count() -> int:
+    """Threads that train runs its two batch halves on: min(2, CPUs
+    available) when BLAS runs one thread, else 1, since the threads of a
+    multi-threaded BLAS spin against a second worker."""
+    if not BLAS_PINNED:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _half_epoch(model: LstmModel, ws: _Workspace, y: np.ndarray, n: int):
+    """Forward and backward over one batch half: its |residual| total and
+    its share of the full-batch MAE gradient. Backward is skipped when the
+    total is not finite, since training stops there."""
+    resid = _forward_batch(model, ws) - y
+    total = float(np.abs(resid).sum())
+    if not np.isfinite(total):
+        return total, None
+    # MAE subgradient: sign(residual), 0 at an exact zero residual.
+    return total, _backward_batch(model, ws, np.sign(resid) / n)
+
+
 def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, TrainHistory]:
-    """Full-batch MAE training: one Adam step per epoch, deterministic per seed."""
+    """Full-batch MAE training: one Adam step per epoch, deterministic per seed.
+
+    With two workers the second batch half runs on a worker thread in a
+    copy of the caller's context, so the caller's numpy errstate holds
+    there too."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     if dataset.inputs.shape[2] != config.n_features:
@@ -240,22 +322,33 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
     X = np.asarray(dataset.inputs, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
     n = len(y)
+    halves = (slice(0, n // 2), slice(n // 2, n))
+    workspaces = [_Workspace(model, X[half]) for half in halves]
+    targets = [y[half] for half in halves]
     params = model.params()
     state = AdamState.for_params(params)
-    for epoch in range(config.epochs):
-        t_epoch = time.perf_counter()
-        preds, cache = _forward_batch(model, X)
-        resid = preds - y
-        loss = float(np.mean(np.abs(resid)))
-        if not np.isfinite(loss):
-            raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}")
-        # MAE subgradient: sign(residual), 0 at an exact zero residual.
-        d_pred = np.sign(resid) / n
-        grads = _backward_batch(model, cache, d_pred)
-        params, state = adam_step(params, grads, state, config.learning_rate)
-        model = model.with_params(params)
-        history.losses.append(loss)
-        history.epoch_times_ms.append((time.perf_counter() - t_epoch) * 1000.0)
+    pool = ThreadPoolExecutor(max_workers=1) if worker_count() > 1 else None
+    with pool or contextlib.nullcontext():
+        for epoch in range(config.epochs):
+            t_epoch = time.perf_counter()
+            second = None
+            if pool is not None:
+                second = pool.submit(
+                    contextvars.copy_context().run, _half_epoch, model, workspaces[1], targets[1], n
+                )
+            total_a, grads_a = _half_epoch(model, workspaces[0], targets[0], n)
+            if second is None:
+                total_b, grads_b = _half_epoch(model, workspaces[1], targets[1], n)
+            else:
+                total_b, grads_b = second.result()
+            loss = (total_a + total_b) / n
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}")
+            grads = {name: grads_a[name] + grads_b[name] for name in PARAM_NAMES}
+            params, state = adam_step(params, grads, state, config.learning_rate)
+            model = model.with_params(params)
+            history.losses.append(loss)
+            history.epoch_times_ms.append((time.perf_counter() - t_epoch) * 1000.0)
     return model, history
 
 
@@ -266,6 +359,5 @@ def predict_series(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
 
 def predict_scaled(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
     """One prediction per sample in scaled [0, 1] units."""
-    preds, _ = _forward_batch(model, np.asarray(dataset.inputs, dtype=np.float64))
-    return preds
+    return _forward_batch(model, _Workspace(model, np.asarray(dataset.inputs, dtype=np.float64)))
 

@@ -5,21 +5,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from btcforecast.lstm import LstmModel, _backward_batch, _Cache, _forward_batch
+from btcforecast.lstm import LstmModel, _backward_batch, _forward_batch, _Workspace
 
 
-def forward(model: LstmModel, window) -> tuple[float, _Cache]:
-    """Prediction for one (lag, n_features) window, plus the cache backward needs."""
+def forward(model: LstmModel, window) -> tuple[float, _Workspace]:
+    """Prediction for one (lag, n_features) window, plus the workspace backward needs."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 1:
         window = window[:, None]
-    preds, cache = _forward_batch(model, window[None, :, :])
-    return float(preds[0]), cache
+    ws = _Workspace(model, window[None, :, :])
+    return float(_forward_batch(model, ws)[0]), ws
 
 
-def backward(model: LstmModel, cache: _Cache, d_prediction: float) -> dict[str, np.ndarray]:
+def backward(model: LstmModel, ws: _Workspace, d_prediction: float) -> dict[str, np.ndarray]:
     """Gradients of d_prediction * prediction w.r.t. every parameter (BPTT)."""
-    return _backward_batch(model, cache, np.array([float(d_prediction)]))
+    grads = _backward_batch(model, ws, np.array([float(d_prediction)]))
+    return {name: g.copy() for name, g in grads.items()}
 
 
 def fd_gradients(model: LstmModel, window, d_pred: float, h_step: float = 1e-5):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcforecast import cli
+from btcforecast import BLAS_THREAD_VARS, cli
 from btcforecast.arima import ArimaOrder
 from btcforecast.cli import build_parser, run, run_comparison
 from btcforecast.dataset import MergedSeries, fill_missing
@@ -216,6 +216,15 @@ class TestErrorPaths:
         code = run([command, "--data", str(small_sine), "--train-fraction", fraction,
                     "--out-dir", str(tmp_path / "out"), *([] if command == "train-arima" else FAST_LSTM)])
         _assert_one_line_error(capfd, code, "train_fraction")
+
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_learning_rate_exits_1(self, small_sine, tmp_path, rate, capfd):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train-lstm", "--data", str(small_sine), "--learning-rate", rate,
+                        "--out-dir", str(tmp_path / "out"), *FAST_LSTM])
+        _assert_one_line_error(capfd, code, "learning_rate")
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("config, where", [
         (_SOURCE, "cfg.json: expected a JSON list"),
@@ -430,10 +439,52 @@ class TestTraceGuard:
         finally:
             tracer.restore()
         assert code == 0
-        traced = {span[2] for span in tracer.spans}
+        # each thread keeps its own stack of open spans: a layer called on
+        # another thread has no cli.run above it, and the benchmark credits
+        # its span to no stage
+        by_id = {span[0]: span for span in tracer.spans}
+
+        def under_cli_run(span) -> bool:
+            while span[1] is not None:
+                span = by_id[span[1]]
+                if span[2] == "cli.run":
+                    return True
+            return False
+
         for name in ("lstm.train", "lstm.adam_step", "lstm.predict_series", "arima.rolling_forecast",
                      "arima.fit", "dataset.to_supervised", "evaluation.emit_plot_data"):
-            assert name in traced, name
+            spans_named = [span for span in tracer.spans if span[2] == name]
+            assert spans_named, name
+            assert all(under_cli_run(span) for span in spans_named), name
+
+
+# Runs the CLI with its argv, on one CPU (argv[1] its number) or on all
+# (argv[1] "all"); the CPU set is fixed before btcforecast loads numpy.
+_ON_CPUS = """
+import os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from btcforecast import cli
+sys.exit(cli.run(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and two CPUs")
+def test_lstm_bits_do_not_depend_on_the_cpu_count(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    one_cpu = str(min(os.sched_getaffinity(0)))
+    for cpus in (one_cpu, "all"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ON_CPUS, cpus, "evaluate", "--data", str(REPO_ROOT / "fixtures" / "sine.csv"),
+             "--seed", "7", "--lag", "10", "--epochs", "30", "--out-dir", str(tmp_path / cpus)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("metrics.csv", "forecast_lstm_single.csv", "forecast_lstm_multi.csv",
+                 "loss_lstm_single.csv", "loss_lstm_multi.csv"):
+        assert (tmp_path / one_cpu / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
 
 
 # Valid inputs of the cheap commands; the fuzz test damages one of them.
@@ -512,6 +563,65 @@ class TestInputFuzz:
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")
                 code = run([str(root / a) if a.endswith(".csv") else a for a in argv])
+        assert code in (0, 1)
+        lines = err.getvalue().splitlines()
+        assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error:")), lines
+
+
+# Values of the model-command flags: each range reaches past its boundary
+# (0, negative, non-finite, longer than the series), and every value is
+# passed as --flag=value, so that argparse reads "-1,1,1" as a value.
+_RATES = st.one_of(st.sampled_from(["0", "-0.01", "1e-320", "10", "1e30", "1e308"]), st.floats().map(repr))
+_FRACTIONS = st.one_of(st.sampled_from(["0", "1", "0.5", "1e-9", "0.999999"]), st.floats().map(repr))
+_ORDERS = st.one_of(
+    st.sampled_from(["-1,1,1", "0,0,0", "1,2", "1,1,1,1", "a,1,0", "0,3,0"]),
+    st.tuples(st.integers(-1, 3), st.integers(-1, 2), st.integers(-1, 1)).map(lambda o: ",".join(map(str, o))),
+)
+_LSTM_FLAGS = {
+    "--lag": st.integers(-1, 130).map(str),
+    "--hidden": st.integers(-1, 8).map(str),
+    "--epochs": st.integers(-1, 8).map(str),
+    "--learning-rate": _RATES,
+}
+_ARIMA_FLAGS = {"--order": _ORDERS}
+_MODEL_COMMANDS = {
+    "train-lstm": {**_LSTM_FLAGS, "--train-fraction": _FRACTIONS},
+    "train-arima": {**_ARIMA_FLAGS, "--train-fraction": _FRACTIONS},
+    "evaluate": {**_LSTM_FLAGS, **_ARIMA_FLAGS, "--train-fraction": _FRACTIONS},
+}
+
+
+@st.composite
+def _model_argv(draw, command):
+    """Flags of one model command; a flag left out keeps the FAST_LSTM
+    value or, for --order, 1,1,0."""
+    values = dict(zip(FAST_LSTM[::2], FAST_LSTM[1::2])) if command != "train-arima" else {}
+    if command != "train-lstm":
+        values["--order"] = "1,1,0"
+    for flag, strategy in _MODEL_COMMANDS[command].items():
+        value = draw(st.one_of(st.none(), strategy))
+        if value is not None:
+            values[flag] = value
+    return [f"{flag}={value}" for flag, value in values.items()]
+
+
+class TestModelFlagFuzz:
+    @pytest.mark.parametrize("command", list(_MODEL_COMMANDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_model_flags_exit_0_or_1_with_one_line(self, command, data):
+        """Any numeric value of a model flag trains and scores (exit 0,
+        silent stderr) or is rejected with one error line (exit 1), also
+        when the error is raised on a training worker thread."""
+        argv = data.draw(_model_argv(command))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            sine_series(n=120, period=24).to_csv(root / "sine.csv")
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = run([command, "--data", str(root / "sine.csv"), "--out-dir", str(root / "out"), *argv])
         assert code in (0, 1)
         lines = err.getvalue().splitlines()
         assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error:")), lines

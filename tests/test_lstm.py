@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from btcforecast import lstm
+from btcforecast import BLAS_THREAD_VARS, lstm
 from btcforecast.dataset import (
     PRICE_AND_SENTIMENT,
     PRICE_ONLY,
@@ -243,6 +249,39 @@ class TestTrain:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
         assert h1.losses == h2.losses
 
+    def test_worker_count_does_not_change_the_bits(self, monkeypatch):
+        ds = _sine_dataset()
+        cfg = LstmConfig(hidden_size=6, lag=4, epochs=25, seed=21)
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(lstm, "worker_count", lambda workers=workers: workers)
+            runs.append(train(cfg, ds))
+        (m1, h1), (m2, h2) = runs
+        for name in lstm.PARAM_NAMES:
+            assert np.array_equal(getattr(m1, name), getattr(m2, name))
+        assert h1.losses == h2.losses
+
+    def test_worker_thread_keeps_the_callers_errstate(self, monkeypatch):
+        # numpy's errstate lives in the caller's context; the half that runs
+        # on the worker thread must see it too, or it warns on overflow
+        monkeypatch.setattr(lstm, "worker_count", lambda: 2)
+        ds = _sine_dataset()
+        cfg = LstmConfig(hidden_size=8, lag=4, epochs=20, learning_rate=1e30, seed=0)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            _, history = train(cfg, ds)
+        assert len(history.losses) == 20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_single_sample_trains(self, monkeypatch, workers):
+        # the first batch half is empty
+        monkeypatch.setattr(lstm, "worker_count", lambda: workers)
+        ds = _sine_dataset()
+        one = dataclasses.replace(ds, inputs=ds.inputs[:1], targets=ds.targets[:1],
+                                  target_times=ds.target_times[:1])
+        _, history = train(LstmConfig(hidden_size=4, lag=4, epochs=3, seed=0), one)
+        assert len(history.losses) == 3 and all(np.isfinite(history.losses))
+
     def test_feature_mismatch_rejected(self):
         ds = _sine_dataset(features=PRICE_AND_SENTIMENT)
         with pytest.raises(ValueError):
@@ -300,3 +339,40 @@ def test_multi_feature_with_zero_sentiment_matches_single_feature():
         p2, _ = forward(multi, window2)
         assert abs(p1 - p2) < 1e-9
 
+
+
+@pytest.mark.parametrize("rate", [0.0, -0.01, math.nan, math.inf, -math.inf])
+def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ValueError, match="learning_rate"):
+        LstmConfig(learning_rate=rate)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class TestWorkerCount:
+    """train runs on two threads only where btcforecast could pin BLAS to
+    one thread: imported before numpy, with no other count set."""
+
+    @staticmethod
+    def _worker_count(before: str, **env) -> int:
+        child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        child_env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{before}import btcforecast.lstm as m; print(m.worker_count())"],
+            env={**child_env, **env}, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return int(proc.stdout)
+
+    def test_btcforecast_imported_first_uses_up_to_two_workers(self):
+        assert self._worker_count("") == min(2, _cpus())
+
+    def test_numpy_imported_first_uses_one_worker(self):
+        assert self._worker_count("import numpy; ") == 1
+
+    def test_a_blas_thread_count_set_by_the_caller_uses_one_worker(self):
+        assert self._worker_count("", OPENBLAS_NUM_THREADS="2") == 1
