@@ -1,9 +1,10 @@
 """ARIMA(p, d, q) estimation and rolling one-step forecasting.
 
 Estimation: d-th differences, then OLS for pure AR models (q = 0) or
-conditional sum-of-squares Gauss-Newton (innovations start at zero) for
-q > 0, seeded from the AR-only OLS solution. Forecasts are one-step-ahead
-in differenced space and integrated back against the retained series tail.
+conditional sum-of-squares (CSS) Gauss-Newton for q > 0 from the AR-only OLS
+solution. Its innovations (zero before the sample) and their Jacobian are one
+inverse-MA filter, cut where its impulse response has decayed. Forecasts are
+one-step-ahead in differenced space, integrated back against the series tail.
 """
 
 from __future__ import annotations
@@ -178,36 +179,40 @@ def _lag_matrix(w: np.ndarray, p: int, include_intercept: bool) -> np.ndarray:
 
 
 def _css(
-    y: list[float], X: np.ndarray, beta: np.ndarray, neg_x: list[list[float]] | None = None
+    y: np.ndarray, X: np.ndarray, beta: np.ndarray, jacobian: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Innovations of y = w[p:] given the lag matrix X of w (pre-sample
-    innovations fixed at zero), and, when neg_x (-X as nested lists) is
-    given, their Jacobian d eps / d beta, beta = [c?, ar, ma].
+    innovations fixed at zero), and, when jacobian is set, their Jacobian
+    d eps / d beta, beta = [c?, ar, ma].
 
-    The intercept and AR part come from X; only the MA filter runs over t:
-    e_t = w_t - pred_t and J_t = -[x_t, e_{t-1..t-q}] - sum_j ma_j J_{t-1-j}.
+    With u = y - X beta_ar, a(L) e = u for a = 1 + ma(L), so e = h * u and
+    J = h * -[X, e_{t-1..t-q}] column by column, h the impulse response of
+    1 / a(L). Newton's iteration h <- h + h (1 - a h), on the whole residual
+    so that rounding is corrected, not compounded, doubles h until its newest
+    half (at least q terms) sums below 1e-17 in absolute value or h reaches n.
     """
-    k_ar = X.shape[1]
-    pred = np.zeros(len(X))
+    n, k_ar = X.shape
+    pred = np.zeros(n)
     for i in range(k_ar):  # column by column: c + ar_0 w_{t-1} + ... in index order
         pred += beta[i] * X[:, i]
-    ma = beta[k_ar:].tolist()
-    q = len(ma)
-    pred_ar = pred.tolist()
-    eps: list[float] = []
-    jac: list[list[float]] = []
-    for t in range(len(y)):
-        pred_t = pred_ar[t]
-        for j in range(min(q, t)):
-            pred_t += ma[j] * eps[t - 1 - j]
-        eps.append(y[t] - pred_t)
-        if neg_x is not None:
-            # set every -e_{t-1-j} entry first, then subtract ma_j J_{t-1-j} in j order
-            row = neg_x[t] + [-eps[t - 1 - j] if t > j else 0.0 for j in range(q)]
-            for j in range(min(q, t)):
-                row = [r - ma[j] * g for r, g in zip(row, jac[t - 1 - j])]
-            jac.append(row)
-    return np.array(eps), (np.array(jac) if neg_x is not None else None)
+    a, h = np.concatenate([[1.0], beta[k_ar:]]), np.ones(1)
+    while len(h) < n:
+        m, size = len(h), min(2 * len(h), n)
+        residual = -np.convolve(a, h)[:size]
+        residual[0] += 1.0
+        h = np.concatenate([h, np.zeros(size - m)]) + np.convolve(h, residual)[:size]
+        if m >= len(a) - 1 and np.abs(h[m:]).sum() < 1e-17:
+            break
+    eps = np.convolve(y - pred, h)[:n]
+    if not jacobian:
+        return eps, None
+    jac = np.zeros((n, len(beta)))
+    for i in range(k_ar):
+        jac[:, i] = -np.convolve(X[:, i], h)[:n]
+    lagged = np.convolve(eps, h)[: n - 1]  # column k_ar + j is this, shifted by j + 1
+    for j in range(len(beta) - k_ar):
+        jac[j + 1 :, k_ar + j] = -lagged[: n - 1 - j]
+    return eps, jac
 
 
 def _fit_ar_ols(
@@ -271,10 +276,9 @@ def _fit_css_gauss_newton(
     beta = [c?, ar, ma] by Gauss-Newton with step halving. Returns the
     coefficients and their innovations. Trial steps compute innovations
     only; the Jacobian is computed once per accepted step."""
-    y = w[p:].tolist()
+    y = w[p:]
     X = _lag_matrix(w, p, include_intercept)
-    neg_x = (-X).tolist()
-    eps, jac = _css(y, X, beta, neg_x)
+    eps, jac = _css(y, X, beta, jacobian=True)
     sse = float(eps @ eps)
     # a trial step that leaves the invertible MA region can overflow the
     # innovations; its non-finite SSE fails the <= test and is halved away
@@ -296,7 +300,7 @@ def _fit_css_gauss_newton(
             beta, eps, sse = trial, eps_new, sse_new
             if improved <= _GN_TOL * max(sse, 1.0):
                 return beta, eps
-            _, jac = _css(y, X, beta, neg_x)
+            _, jac = _css(y, X, beta, jacobian=True)
     raise ArimaFitError(f"no convergence after {_GN_MAX_ITER} iterations; last objective {sse:.6g}")
 
 

@@ -168,12 +168,14 @@ def lstm_report(
     train_ds, test_ds = split(ds, train_fraction)
     config = dataclasses.replace(config, n_features=len(ds.feature_names))
     # A large learning rate saturates the gates: exp overflows to inf and
-    # the sigmoid reaches its exact limit 0. Divergence is not lost: train
-    # stops on a non-finite loss. train's worker thread runs in a copy of
-    # this context, so the setting reaches it.
+    # the sigmoid reaches its exact limit 0. train stops on a non-finite
+    # loss or parameter; a forecast that overflows fails below. train's
+    # worker thread runs in a copy of this context, so the setting holds.
     with np.errstate(over="ignore"):
         model, history = lstm.train(config, train_ds)
         predicted = lstm.predict_series(model, test_ds)
+    if not np.isfinite(predicted).all():
+        raise lstm.TrainingDiverged("non-finite forecast from the trained model: training diverged")
     actual = unscale_column(test_ds.targets, scaler, "price")
     return evaluation.ForecastReport.create(
         "lstm_single" if features == PRICE_ONLY else "lstm_multi",

@@ -43,7 +43,7 @@ PARAM_NAMES = ("W", "b", "Wd", "bd")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss, the parameters or the forecast stop being finite."""
 
 
 @dataclass(frozen=True)
@@ -247,6 +247,8 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
         da_g *= s
         grads["W"] += np.matmul(da, ws.z[t].T, out=ws.dW)
         grads["b"] += np.sum(da, axis=1, out=ws.db)
+        if t == 0:  # no earlier step reads dH and dC
+            break
         np.matmul(W_hT, da, out=dH)
         dC *= ft
     return grads
@@ -349,6 +351,8 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
             model = model.with_params(params)
             history.losses.append(loss)
             history.epoch_times_ms.append((time.perf_counter() - t_epoch) * 1000.0)
+    if not all(np.isfinite(p).all() for p in params.values()):
+        raise TrainingDiverged(f"non-finite parameters after epoch {config.epochs - 1}")
     return model, history
 
 

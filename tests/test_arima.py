@@ -19,6 +19,7 @@ from btcforecast.arima import (
 from btcforecast.dataset import train_test_counts
 from btcforecast.evaluation import naive_baseline, rmse
 from btcforecast.synthetic import ar_process, random_walk, sine_series
+from css_reference import reference_css
 
 
 class TestOrder:
@@ -222,8 +223,8 @@ def test_css_jacobian_matches_finite_differences(p, q, include_intercept):
     rng = np.random.default_rng(10 * p + q)
     w = rng.normal(size=80)
     beta = rng.uniform(-0.4, 0.4, size=int(include_intercept) + p + q)
-    y, X = w[p:].tolist(), _lag_matrix(w, p, include_intercept)
-    eps, jac = _css(y, X, beta, (-X).tolist())
+    y, X = w[p:], _lag_matrix(w, p, include_intercept)
+    eps, jac = _css(y, X, beta, jacobian=True)
     # the innovations-only pass gives the same innovations
     assert np.array_equal(_css(y, X, beta)[0], eps)
     h = 1e-6
@@ -233,6 +234,64 @@ def test_css_jacobian_matches_finite_differences(p, q, include_intercept):
         upper, _ = _css(y, X, beta + dk)
         lower, _ = _css(y, X, beta - dk)
         assert np.allclose(jac[:, k], (upper - lower) / (2 * h), rtol=0, atol=1e-6)
+
+
+@st.composite
+def _css_cases(draw):
+    """A lag matrix and coefficients: p in 0..3, q in 1..3, with or without
+    intercept, n up to 2000, and MA reciprocal roots of modulus up to 0.99,
+    real or, for q >= 2, one complex pair."""
+    p, q = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    include_intercept = draw(st.booleans())
+    n = draw(st.integers(p + q + 2, 2000))
+    if q >= 2 and draw(st.booleans()):
+        pair = draw(st.floats(0.0, 0.99)) * np.exp(1j * draw(st.floats(0.0, np.pi)))
+        roots = [pair, np.conj(pair)] + [draw(st.floats(-0.99, 0.99)) for _ in range(q - 2)]
+    else:
+        roots = [draw(st.floats(-0.99, 0.99)) for _ in range(q)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 20.0, 1e4])), size=n)
+    ar = rng.uniform(-0.9, 0.9, size=p)
+    intercept = rng.normal(size=int(include_intercept))
+    beta = np.concatenate([intercept, ar, np.poly(roots)[1:].real])
+    return w[p:], _lag_matrix(w, p, include_intercept), beta
+
+
+def _assert_css_matches_reference(y, X, beta):
+    """Where the scalar recursion is finite, the filter agrees with it within
+    1e-10 (1 + max|ref|); where it overflows, the filter's SSE is not finite
+    either, so Gauss-Newton rejects the trial the same way."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_eps, ref_jac = reference_css(y, X, beta, jacobian=True)
+        eps, jac = _css(y, X, beta, jacobian=True)
+        eps_only, _ = _css(y, X, beta)
+        sse = float(eps_only @ eps_only)
+    assert np.array_equal(eps_only, eps, equal_nan=True)
+    if not (np.isfinite(ref_eps).all() and np.isfinite(ref_jac).all()):
+        assert not np.isfinite(sse)
+        return
+    for new, ref in ((eps, ref_eps), (jac, ref_jac)):
+        assert np.max(np.abs(new - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_css_cases())
+def test_css_matches_the_scalar_recursion(case):
+    _assert_css_matches_reference(*case)
+
+
+@pytest.mark.parametrize("ma,n", [
+    ([0.0, 0.5], 300), ([0.0, 0.0, -0.7], 300),
+    ([-1.0], 700), ([1.01], 500), ([-1.5], 300), ([3.0], 2000), ([-3.0], 2000),
+])
+def test_css_matches_the_scalar_recursion_at_the_edges(ma, n):
+    """Leading zero MA coefficients start the impulse response with zeros,
+    which must not end it. A Gauss-Newton trial can leave the invertible
+    region: up to the unit root and a little past it the innovations stay
+    finite and match, and where the recursion overflows the SSE is not
+    finite."""
+    w = np.random.default_rng(n).normal(0.0, 20.0, size=n)
+    _assert_css_matches_reference(w[1:], _lag_matrix(w, 1, True), np.array([0.5, 0.6, *ma]))
 
 
 def test_estimates_converge_with_sample_size():

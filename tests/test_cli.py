@@ -226,6 +226,15 @@ class TestErrorPaths:
         _assert_one_line_error(capfd, code, "learning_rate")
         assert [str(w.message) for w in caught] == []
 
+    def test_last_step_that_overflows_the_forecast_exits_1(self, small_sine, tmp_path, capfd):
+        """One Adam step at a rate of 1e308 leaves the parameters finite, near
+        the float limit, but the forecast overflows: no result is written."""
+        out_dir = tmp_path / "out"
+        code = run(["evaluate", "--data", str(small_sine), "--epochs", "1", "--hidden", "6", "--lag", "2",
+                    "--learning-rate", "1e308", "--out-dir", str(out_dir)])
+        _assert_one_line_error(capfd, code, "non-finite forecast")
+        assert not (out_dir / "metrics.csv").exists()
+
     @pytest.mark.parametrize("config, where", [
         (_SOURCE, "cfg.json: expected a JSON list"),
         ([1], "cfg.json: entry 0:"),
@@ -611,8 +620,9 @@ class TestModelFlagFuzz:
     @given(data=st.data())
     def test_model_flags_exit_0_or_1_with_one_line(self, command, data):
         """Any numeric value of a model flag trains and scores (exit 0,
-        silent stderr) or is rejected with one error line (exit 1), also
-        when the error is raised on a training worker thread."""
+        silent stderr, every forecast finite) or is rejected with one error
+        line (exit 1), also when the error is raised on a training worker
+        thread."""
         argv = data.draw(_model_argv(command))
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
@@ -622,6 +632,10 @@ class TestModelFlagFuzz:
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")
                 code = run([command, "--data", str(root / "sine.csv"), "--out-dir", str(root / "out"), *argv])
+            predicted = [float(row["predicted"]) for path in sorted((root / "out").glob("forecast_*.csv"))
+                         for row in csv.DictReader(path.read_text(encoding="utf-8").splitlines())]
         assert code in (0, 1)
         lines = err.getvalue().splitlines()
         assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error:")), lines
+        if code == 0:
+            assert predicted and all(math.isfinite(v) for v in predicted)

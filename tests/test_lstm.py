@@ -296,6 +296,17 @@ class TestTrain:
             with np.errstate(over="raise", invalid="raise"):
                 train(bad, ds)
 
+    def test_non_finite_parameters_after_the_last_step_abort(self, monkeypatch):
+        # no loss is computed after the last Adam step, so its parameters are
+        # checked themselves
+        def overflowing_step(params, grads, state, lr):
+            params, state = adam_step(params, grads, state, lr)
+            return {**params, "bd": np.full(1, np.inf)}, state
+
+        monkeypatch.setattr(lstm, "adam_step", overflowing_step)
+        with pytest.raises(TrainingDiverged, match="after epoch 0"):
+            train(LstmConfig(hidden_size=4, lag=4, epochs=1, seed=0), _sine_dataset())
+
 
 class TestPredict:
     def test_prediction_count(self):
