@@ -27,7 +27,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 with ReplayServer(FIXTURES) as server, tempfile.TemporaryDirectory() as tmp:
     print(f"replay server listening on {server.base_url}")
 
-    # --- a single fetch: one payload in, one fully populated record out
+    # --- a single fetch: one payload in, one fully populated record out;
+    # a record is a dict from log column to value, in log-column order
     config = SourceConfig(
         name="bitstamp",
         base_url=server.url_for(BITSTAMP_TICKER),
@@ -35,14 +36,14 @@ with ReplayServer(FIXTURES) as server, tempfile.TemporaryDirectory() as tmp:
         poll_interval=0.05,  # the real cadence is one minute
     )
     tick = fetch_once(config)
-    print(f"\none tick: last={tick.last} vwap={tick.vwap} at {tick.datetime}")
+    print(f"\none tick: last={tick['last']} vwap={tick['vwap']} at {tick['datetime']}")
 
     # --- the poll loop: one fetch per interval, appended to a durable log
-    log = RecordLog(Path(tmp) / "bitstamp.csv", BITSTAMP_TICKER)
-    appended = poll(config, log, stop=threading.Event(), max_polls=3)
-    print(f"\npolled 3 intervals -> {appended} records appended")
-    for record in log.read():
-        print(f"  t={record.timestamp}  last={record.last}")
+    with RecordLog(Path(tmp) / "bitstamp.csv", BITSTAMP_TICKER) as log:
+        appended = poll(config, log, stop=threading.Event(), max_polls=3)
+        print(f"\npolled 3 intervals -> {appended} records appended")
+        for record in log.read():
+            print(f"  t={record['timestamp']}  last={record['last']}")
 
     # --- fault injection: a malformed payload is skipped, the loop survives
     server.reset()
@@ -52,8 +53,8 @@ with ReplayServer(FIXTURES) as server, tempfile.TemporaryDirectory() as tmp:
         schema=BITSTAMP_TICKER,
         poll_interval=0.05,
     )
-    flog = RecordLog(Path(tmp) / "faulty.csv", BITSTAMP_TICKER)
-    appended = poll(faulty, flog, stop=threading.Event(), max_polls=3)
+    with RecordLog(Path(tmp) / "faulty.csv", BITSTAMP_TICKER) as flog:
+        appended = poll(faulty, flog, stop=threading.Event(), max_polls=3)
     print(f"\nwith one malformed payload injected: {appended} of 3 polls appended")
 
     # --- the other two source shapes

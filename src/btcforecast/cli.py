@@ -29,7 +29,6 @@ from .dataset import (
     MergedSeries,
     fill_missing,
     fit_scaler,
-    int64_field,
     merge,
     scale,
     split,
@@ -38,7 +37,7 @@ from .dataset import (
     unscale_column,
 )
 from .ingest import RecordLog, load_sources, poll
-from .table import HeaderError, read_table
+from .table import HeaderError, int64_field, read_table
 
 FIXTURES_ENV = "BTCFORECAST_FIXTURES"
 
@@ -239,9 +238,16 @@ def _cmd_ingest(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stop = threading.Event()
     results: dict[str, int] = {}
+    failures: list[tuple[str, Exception]] = []
 
     def run_source(cfg, sink):
-        results[cfg.name] = poll(cfg, sink, stop, max_polls=args.max_polls)
+        # a poller ends early only on what poll calls fatal (say, a failed
+        # sink write); the other pollers stop, and the main thread raises it
+        try:
+            results[cfg.name] = poll(cfg, sink, stop, max_polls=args.max_polls)
+        except Exception as e:
+            failures.append((cfg.name, e))
+            stop.set()
 
     # every sink is opened (and its log validated) here, before any poller
     # starts, so a damaged log is a one-line error, not a thread traceback
@@ -257,6 +263,9 @@ def _cmd_ingest(args) -> int:
             stop.set()
             for t in threads:
                 t.join()
+    if failures:
+        name, e = failures[0]
+        raise RuntimeError(f"{name}: {e}") from e
     for name, count in sorted(results.items()):
         print(f"{name}: {count} records appended")
     return 0

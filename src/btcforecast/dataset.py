@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .table import read_table, write_table
+from .table import int64_field, read_table, write_table
 
 COLUMNS = ("time", "price", "sentiment")
 
@@ -77,15 +77,6 @@ class MergedSeries:
             return cls(time, price, sentiment)
         except ValueError as e:
             raise ValueError(f"{path}: {e}") from None
-
-
-def int64_field(field: str) -> int:
-    """An integer field that fits the int64 time column, so that an
-    overflow is reported on its line."""
-    value = int(field)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError("timestamp must fit in a 64-bit integer")
-    return value
 
 
 def _float_or_nan(field: str) -> float:

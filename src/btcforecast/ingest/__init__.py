@@ -8,13 +8,10 @@ from .sources import (
     BLOCKCHAIN_QUOTES,
     MARKETCAP_SNAPSHOT,
     SCHEMAS,
-    MarketSnapshot,
-    PriceTick,
     SchemaError,
     SourceConfig,
     load_sources,
     parse_payload,
-    record_timestamp,
 )
 
 __all__ = [
@@ -25,9 +22,7 @@ __all__ = [
     "ROUTES",
     "TWEETS_PATH",
     "FetchError",
-    "MarketSnapshot",
     "OutOfOrderError",
-    "PriceTick",
     "RecordLog",
     "ReplayServer",
     "SchemaError",
@@ -36,5 +31,4 @@ __all__ = [
     "load_sources",
     "parse_payload",
     "poll",
-    "record_timestamp",
 ]

@@ -22,7 +22,7 @@ class FetchError(RuntimeError):
     """Network-level failure; retryable on the next scheduled poll."""
 
 
-def fetch_once(config: SourceConfig):
+def fetch_once(config: SourceConfig) -> dict:
     """One HTTP GET against the source, parsed into a full record.
 
     Network problems raise FetchError; payloads that do not satisfy the
@@ -35,7 +35,7 @@ def fetch_once(config: SourceConfig):
         raise FetchError(f"{config.name}: {e}") from e
     try:
         payload = json.loads(body)
-    except (ValueError, UnicodeDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
         raise FetchError(f"{config.name}: malformed response body: {e}") from e
     if not isinstance(payload, dict):
         raise FetchError(f"{config.name}: expected a JSON object")

@@ -1,6 +1,6 @@
 """Durable on-disk record logs: CSV with a schema-specific header, one line
-per record, strictly timestamp-ordered. One writer per log; concurrent
-readers see a consistent prefix."""
+per record, strictly ordered by the schema's time column. One writer per
+log; concurrent readers see a consistent prefix."""
 
 from __future__ import annotations
 
@@ -8,8 +8,11 @@ import csv
 import io
 from pathlib import Path
 
-from ..table import read_table
-from .sources import SCHEMAS, record_timestamp, record_to_row, row_to_record
+from ..table import int64_field, read_table
+from .sources import NUMBER, PRICE, SCHEMAS, TEXT, TIME
+
+# how the fields of each kind parse back from a log
+_CONVERTERS = {TEXT: str, TIME: int64_field, NUMBER: float, PRICE: float}
 
 
 class OutOfOrderError(ValueError):
@@ -22,12 +25,15 @@ class RecordLog:
             raise ValueError(f"unknown schema {schema!r}")
         self.path = Path(path)
         self.schema = schema
-        self.columns = SCHEMAS[schema].log_columns
+        fields = SCHEMAS[schema]
+        self.columns = tuple(column for _, column, _ in fields)
+        self._converters = {column: _CONVERTERS[kind] for _, column, kind in fields}
+        self._time_column = next(column for _, column, kind in fields if kind == TIME)
         self._last_timestamp: int | None = None
         if self.path.exists() and self.path.stat().st_size > 0:
             # every field of every row is parsed, as read() does, but only
             # the last ordering key is kept
-            key = self.columns.index(SCHEMAS[schema].key_column)
+            key = self.columns.index(self._time_column)
             for _, values in self._rows():
                 self._last_timestamp = values[key]
             self._handle = open(self.path, "a", encoding="utf-8", newline="")
@@ -43,24 +49,26 @@ class RecordLog:
         self._handle.write(buf.getvalue())
         self._handle.flush()
 
-    def append(self, record) -> None:
-        """Append one record; rejects timestamps that do not strictly advance."""
-        ts = record_timestamp(record)
+    def append(self, record: dict) -> None:
+        """Append one record (a dict holding every log column); rejects
+        timestamps that do not strictly advance."""
+        ts = record[self._time_column]
         if self._last_timestamp is not None and ts <= self._last_timestamp:
             raise OutOfOrderError(
                 f"timestamp {ts} does not advance log (last {self._last_timestamp})"
             )
-        self._write_row(record_to_row(self.schema, record))
+        values = (record[column] for column in self.columns)
+        self._write_row([v if isinstance(v, str) else repr(v) for v in values])
         self._last_timestamp = ts
 
     def _rows(self):
         """(line number, parsed fields) of each record in the log; the
         header must be the schema's."""
-        return read_table(self.path, SCHEMAS[self.schema].converters, exact=True)
+        return read_table(self.path, self._converters, exact=True)
 
-    def read(self) -> list:
+    def read(self) -> list[dict]:
         """Re-read every record currently in the log, in order."""
-        return [row_to_record(self.schema, values) for _, values in self._rows()]
+        return [dict(zip(self.columns, values)) for _, values in self._rows()]
 
     def close(self) -> None:
         self._handle.close()

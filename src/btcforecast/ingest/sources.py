@@ -1,11 +1,17 @@
-"""Source configuration, record types, and payload schemas.
+"""Source configuration and payload schemas.
 
 Three payload schemas are supported: bitstamp_ticker (the 10 ticker
 fields), marketcap_snapshot (the 8 market-stats fields), and
 blockchain_quotes (the 3 USD quote fields). Coinbase-style sources are
-just another bitstamp_ticker-shaped feed. Each schema lists the payload
-fields it requires; a record is only emitted when every one of them is
-present and parses, so no partial records ever reach a log.
+just another bitstamp_ticker-shaped feed.
+
+A schema is one table of (payload key, log column, kind) rows in
+log-column order, and a record is a dict from log column to value, in
+that order: the row it is written as. A kind says how a field parses:
+text (kept as a string), time (the record's ordering key, an integer that
+fits in 64 bits), number (finite) or price (finite and > 0). A record is
+only built when every field of its schema is present and parses, so no
+partial records ever reach a log.
 """
 
 from __future__ import annotations
@@ -15,9 +21,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..table import int64_field
+
 BITSTAMP_TICKER = "bitstamp_ticker"
 MARKETCAP_SNAPSHOT = "marketcap_snapshot"
 BLOCKCHAIN_QUOTES = "blockchain_quotes"
+
+TEXT, TIME, NUMBER, PRICE = "text", "time", "number", "price"
 
 
 class SchemaError(ValueError):
@@ -44,172 +54,75 @@ class SourceConfig:
             raise ValueError(f"unknown schema {self.schema!r}")
 
 
-@dataclass(frozen=True)
-class PriceTick:
-    """One ticker observation; raw feed values are stored as-is."""
-
-    timestamp: int
-    last: float
-    high: float
-    low: float
-    open: float
-    bid: float
-    ask: float
-    vwap: float
-    volume: float
-    datetime: str
-
-
-@dataclass(frozen=True)
-class MarketSnapshot:
-    """One market-stats observation. Fields outside the producing schema's
-    group stay None; within the group, everything is populated."""
-
-    created: int
-    price_usd: float | None = None
-    volume_24h_usd: float | None = None
-    market_cap_usd: float | None = None
-    available_supply: float | None = None
-    total_supply: float | None = None
-    pct_change_1h: float | None = None
-    pct_change_24h: float | None = None
-    pct_change_7d: float | None = None
-    usd_sell: float | None = None
-    usd_buy: float | None = None
-    usd_15m: float | None = None
-
-
-@dataclass(frozen=True)
-class _Schema:
-    record_type: type
-    # (payload key, record field, log column) triples, in log-column order
-    field_map: tuple[tuple[str, str, str], ...]
-    string_fields: frozenset[str] = frozenset()
-    int_fields: frozenset[str] = frozenset()
-    positive_fields: frozenset[str] = frozenset()
-
-    @property
-    def log_columns(self) -> tuple[str, ...]:
-        return tuple(col for _, _, col in self.field_map)
-
-    @property
-    def converters(self) -> dict[str, type]:
-        """Log column -> the type its fields parse to (str, int or float)."""
-        return {
-            col: str if field in self.string_fields else int if field in self.int_fields else float
-            for _, field, col in self.field_map
-        }
-
-    @property
-    def key_column(self) -> str:
-        """The log column holding the ordering key (see record_timestamp)."""
-        return "timestamp" if self.record_type is PriceTick else "created"
-
-
-SCHEMAS: dict[str, _Schema] = {
-    BITSTAMP_TICKER: _Schema(
-        record_type=PriceTick,
-        field_map=(
-            ("high", "high", "high"),
-            ("last", "last", "last"),
-            ("timestamp", "timestamp", "timestamp"),
-            ("bid", "bid", "bid"),
-            ("vwap", "vwap", "vwap"),
-            ("volume", "volume", "volume"),
-            ("low", "low", "low"),
-            ("ask", "ask", "ask"),
-            ("open", "open", "open"),
-            ("datetime", "datetime", "datetime"),
-        ),
-        string_fields=frozenset({"datetime"}),
-        int_fields=frozenset({"timestamp"}),
-        positive_fields=frozenset({"high", "last", "bid", "vwap", "low", "ask", "open"}),
+# each schema's (payload key, log column, kind) rows, in log-column order;
+# every schema has exactly one time column
+SCHEMAS: dict[str, tuple[tuple[str, str, str], ...]] = {
+    BITSTAMP_TICKER: (
+        ("high", "high", PRICE),
+        ("last", "last", PRICE),
+        ("timestamp", "timestamp", TIME),
+        ("bid", "bid", PRICE),
+        ("vwap", "vwap", PRICE),
+        ("volume", "volume", NUMBER),
+        ("low", "low", PRICE),
+        ("ask", "ask", PRICE),
+        ("open", "open", PRICE),
+        ("datetime", "datetime", TEXT),
     ),
-    MARKETCAP_SNAPSHOT: _Schema(
-        record_type=MarketSnapshot,
-        field_map=(
-            ("price_usd", "price_usd", "price_usd"),
-            ("24h_volume_usd", "volume_24h_usd", "24h_volume_usd"),
-            ("market_cap_usd", "market_cap_usd", "market_cap_usd"),
-            ("available_supply", "available_supply", "available_supply"),
-            ("total_supply", "total_supply", "total_supply"),
-            ("percent_change_1h", "pct_change_1h", "percentage_change_1h"),
-            ("percent_change_24h", "pct_change_24h", "percentage_change_24h"),
-            ("percent_change_7d", "pct_change_7d", "percentage_change_7d"),
-            ("created", "created", "created"),
-        ),
-        int_fields=frozenset({"created"}),
-        positive_fields=frozenset({"price_usd"}),
+    MARKETCAP_SNAPSHOT: (
+        ("price_usd", "price_usd", PRICE),
+        ("24h_volume_usd", "24h_volume_usd", NUMBER),
+        ("market_cap_usd", "market_cap_usd", NUMBER),
+        ("available_supply", "available_supply", NUMBER),
+        ("total_supply", "total_supply", NUMBER),
+        ("percent_change_1h", "percentage_change_1h", NUMBER),
+        ("percent_change_24h", "percentage_change_24h", NUMBER),
+        ("percent_change_7d", "percentage_change_7d", NUMBER),
+        ("created", "created", TIME),
     ),
-    BLOCKCHAIN_QUOTES: _Schema(
-        record_type=MarketSnapshot,
-        field_map=(
-            ("usd_sell", "usd_sell", "usd_sell"),
-            ("usd_buy", "usd_buy", "usd_buy"),
-            ("usd_15m", "usd_15m", "usd_15m"),
-            ("created", "created", "created"),
-        ),
-        int_fields=frozenset({"created"}),
-        positive_fields=frozenset({"usd_sell", "usd_buy", "usd_15m"}),
+    BLOCKCHAIN_QUOTES: (
+        ("usd_sell", "usd_sell", PRICE),
+        ("usd_buy", "usd_buy", PRICE),
+        ("usd_15m", "usd_15m", PRICE),
+        ("created", "created", TIME),
     ),
 }
 
 
-def parse_payload(schema: str, payload: dict) -> PriceTick | MarketSnapshot:
+def parse_payload(schema: str, payload: dict) -> dict[str, str | int | float]:
     """Validate a decoded JSON payload against a schema and build the record.
 
-    Raises SchemaError naming the first offending field.
+    Raises SchemaError naming the first offending payload key.
     """
-    spec = SCHEMAS[schema]
-    values: dict[str, object] = {}
-    for key, field, _ in spec.field_map:
+    record: dict[str, str | int | float] = {}
+    for key, column, kind in SCHEMAS[schema]:
         if key not in payload:
             raise SchemaError(key, "missing required field")
         raw = payload[key]
-        if field in spec.string_fields:
-            values[field] = str(raw)
+        if kind == TEXT:
+            record[column] = str(raw)
             continue
+        if isinstance(raw, bool):  # float(True) would read as 1.0
+            raise SchemaError(key, "non-numeric field")
         try:
             num = float(raw)
+        except OverflowError:  # a JSON integer past the float range
+            raise SchemaError(key, "non-finite field") from None
         except (TypeError, ValueError):
             raise SchemaError(key, "non-numeric field") from None
         if not math.isfinite(num):
             raise SchemaError(key, "non-finite field")
-        if field in spec.positive_fields and num <= 0:
+        if kind == PRICE and num <= 0:
             raise SchemaError(key, "must be > 0")
-        values[field] = int(num) if field in spec.int_fields else num
-    record = spec.record_type(**values)
-    if isinstance(record, MarketSnapshot):
-        if (
-            record.available_supply is not None
-            and record.total_supply is not None
-            and record.available_supply > record.total_supply
-        ):
-            raise SchemaError("available_supply", "exceeds total_supply")
+        if kind == TIME:
+            try:
+                num = int64_field(num)
+            except ValueError as e:
+                raise SchemaError(key, str(e)) from None
+        record[column] = num
+    if schema == MARKETCAP_SNAPSHOT and record["available_supply"] > record["total_supply"]:
+        raise SchemaError("available_supply", "exceeds total_supply")
     return record
-
-
-def record_timestamp(record: PriceTick | MarketSnapshot) -> int:
-    """The ordering key for a record within its log."""
-    return record.timestamp if isinstance(record, PriceTick) else record.created
-
-
-def record_to_row(schema: str, record) -> list[str]:
-    spec = SCHEMAS[schema]
-    row = []
-    for _, field, _ in spec.field_map:
-        value = getattr(record, field)
-        if value is None:
-            raise SchemaError(field, "record is missing a schema field")
-        row.append(value if isinstance(value, str) else repr(value))
-    return row
-
-
-def row_to_record(schema: str, values: list) -> PriceTick | MarketSnapshot:
-    """Build a record from one log row, already parsed by the schema's
-    converters."""
-    spec = SCHEMAS[schema]
-    return spec.record_type(**{field: v for (_, field, _), v in zip(spec.field_map, values)})
 
 
 def load_sources(path: str | Path) -> list[SourceConfig]:
@@ -219,7 +132,7 @@ def load_sources(path: str | Path) -> list[SourceConfig]:
     offending entry."""
     try:
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, or nested too deep
         raise ValueError(f"{path}: {e}") from None
     if not isinstance(entries, list):
         raise ValueError(f"{path}: expected a JSON list of sources, got {type(entries).__name__}")
@@ -241,6 +154,8 @@ def _source_config(entry) -> SourceConfig:
     for key in ("name", "base_url", "schema"):
         if not isinstance(entry.get(key), str):
             raise ValueError(f"{key!r} must be a string")
+    if "/" in entry["name"]:  # the name is a file name: the log <out-dir>/<name>.csv
+        raise ValueError(f"'name' must not contain '/', got {entry['name']!r}")
     interval = entry.get("poll_interval_s", 60.0)
     try:
         interval = float(interval)

@@ -62,6 +62,15 @@ def _rows(path, reader, columns: dict, exact: bool) -> Iterator[tuple[int, list]
         yield reader.line_num, values
 
 
+def int64_field(field: str | float) -> int:
+    """An integer field (or a finite float, truncated) that fits the int64
+    time column, so that an overflow is reported where it is read."""
+    value = int(field)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError("timestamp must fit in a 64-bit integer")
+    return value
+
+
 def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write header, then each row of rows as it is produced, as a UTF-8 CSV
     table with LF line endings."""

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import importlib.util
 import io
 import json
@@ -12,8 +11,11 @@ import re
 import subprocess
 import sys
 import tempfile
+import urllib.error
+import urllib.request
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -147,7 +149,7 @@ class TestErrorPaths:
         tick = parse_payload(BITSTAMP_TICKER, bitstamp_payload)
         with RecordLog(out_dir / "bitstamp.csv", BITSTAMP_TICKER) as log:
             for i in range(4):
-                log.append(dataclasses.replace(tick, timestamp=tick.timestamp + 60 * i))
+                log.append(tick | {"timestamp": tick["timestamp"] + 60 * i})
         # a crash mid-append left a partial record on line 6
         with open(out_dir / "bitstamp.csv", "a", encoding="utf-8") as f:
             f.write("6542.61,6502.61,15000")
@@ -244,12 +246,65 @@ class TestErrorPaths:
         ([dict(_SOURCE, poll_interval_s=math.nan)], "cfg.json: entry 0: poll_interval"),
         ([dict(_SOURCE, poll_interval_s=math.inf)], "cfg.json: entry 0: poll_interval"),
         ([_SOURCE, _SOURCE], "cfg.json: entry 1: duplicate name"),
+        ([dict(_SOURCE, name="../a")], "cfg.json: entry 0: 'name'"),  # would write outside --out-dir
     ])
     def test_malformed_ingest_config_names_file_and_entry(self, tmp_path, config, where, capfd):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         code = run(["ingest", "--config", str(path), "--out-dir", str(tmp_path / "logs"), "--max-polls", "1"])
         _assert_one_line_error(capfd, code, where)
+
+    def test_deeply_nested_ingest_config_exits_1(self, tmp_path, capfd):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code = run(["ingest", "--config", str(path), "--out-dir", str(tmp_path / "logs"), "--max-polls", "1"])
+        _assert_one_line_error(capfd, code, "cfg.json: ")
+
+    @pytest.mark.parametrize("bad_body", [
+        lambda payload: json.dumps(payload | {"last": 10**400}).encode("utf-8"),  # past the float range
+        lambda payload: b"[" * 100_000,  # nested past the recursion limit
+        lambda payload: json.dumps(payload | {"timestamp": "1e30"}).encode("utf-8"),  # past 64 bits
+    ], ids=["huge-integer", "deep-nesting", "timestamp-1e30"])
+    def test_ingest_skips_a_bad_payload(self, tmp_path, bitstamp_payload, bad_body, capfd):
+        """A poll whose payload fails is logged and skipped: the loop goes
+        on, exit 0, and the count line is printed."""
+        from btcforecast.ingest import BITSTAMP_TICKER, RecordLog, client
+
+        bodies = iter([bad_body(bitstamp_payload), json.dumps(bitstamp_payload).encode("utf-8")])
+        config = tmp_path / "sources.json"
+        config.write_text(json.dumps([dict(_SOURCE, name="bitstamp", poll_interval_s=0.01)]), encoding="utf-8")
+        with mock.patch.object(client.urllib.request, "urlopen", lambda url, timeout: io.BytesIO(next(bodies))):
+            code = run(["ingest", "--config", str(config), "--out-dir", str(tmp_path), "--max-polls", "2"])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == "", err
+        assert out == "bitstamp: 1 records appended\n"
+        with RecordLog(tmp_path / "bitstamp.csv", BITSTAMP_TICKER) as log:
+            assert [r["timestamp"] for r in log.read()] == [int(bitstamp_payload["timestamp"])]
+
+    def test_failed_sink_write_stops_ingest_with_exit_1(self, tmp_path, replay_server, monkeypatch, capfd):
+        """A poller that raises what poll calls fatal stops every poller;
+        ingest exits 1 with one line naming the source."""
+        from btcforecast.ingest import BITSTAMP_TICKER, MARKETCAP_SNAPSHOT, RecordLog
+
+        append = RecordLog.append
+
+        def full_disk(self, record):
+            if self.path.name == "a.csv":
+                raise OSError(28, "No space left on device")
+            append(self, record)
+
+        monkeypatch.setattr(RecordLog, "append", full_disk)
+        config = tmp_path / "sources.json"
+        config.write_text(json.dumps([
+            {"name": "a", "base_url": replay_server.url_for(BITSTAMP_TICKER), "schema": BITSTAMP_TICKER,
+             "poll_interval_s": 0.01},
+            # without the stop, this poller would run for 10 s
+            {"name": "b", "base_url": replay_server.url_for(MARKETCAP_SNAPSHOT), "schema": MARKETCAP_SNAPSHOT,
+             "poll_interval_s": 0.01},
+        ]), encoding="utf-8")
+        code = run(["ingest", "--config", str(config), "--out-dir", str(tmp_path / "logs"), "--max-polls", "1000"])
+        out = _assert_one_line_error(capfd, code, "error: a: ", "No space left on device")
+        assert "records appended" not in out
 
     @pytest.mark.parametrize("line, where", [
         (b"bad", "lex.csv:2:"), (b"bad,x", "lex.csv:2:"), (b",0.5", "lex.csv:2:"), (b"Bad,0.5", "lex.csv:2:"),
@@ -413,17 +468,31 @@ class TestOnePath:
         assert {r.model_name: repr(r.rmse) for r in reports} == expected
 
     def test_demo_06_prints_the_comparison(self):
-        pythonpath = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-        proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "demos" / "06_model_comparison.py")],
-            capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
-        )
+        proc = _run_demo("06_model_comparison")
         assert proc.returncode == 0, proc.stderr
         for model, rmse in (("lstm_multi", "68.382784"), ("naive_last_value", "120.000000"),
                             ("arima(10,1,0)", "121.080060"), ("lstm_single", "176.692302")):
             assert re.search(rf"^{re.escape(model)} +{rmse} ", proc.stdout, re.M), model
         assert "cuts test RMSE by 61%" in proc.stdout
+
+
+def _run_demo(name: str) -> subprocess.CompletedProcess:
+    pythonpath = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return subprocess.run(
+        [sys.executable, str(REPO_ROOT / "demos" / f"{name}.py")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+    )
+
+
+@pytest.mark.parametrize("demo", ["01_ingest_replay", "02_sentiment_pipeline", "03_merge_and_frame",
+                                  "05_arima_rolling"])
+def test_demo_runs(demo):
+    """Each cheap demo runs to the end (04 trains for seconds; 06 has its
+    own test above)."""
+    proc = _run_demo(demo)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def _perfbench_spans():
@@ -556,6 +625,59 @@ def _mutate(data: bytes, mutations) -> bytes:
     return data
 
 
+# edits of the ingest sources config, each to one key of one of its three
+# entries: drop the key, set it to a JSON value, or damage the bytes of its
+# value's text (breaking the JSON itself is left to the error-path tests)
+_CONFIG_KEYS = ("name", "base_url", "poll_interval_s", "schema")
+_CONFIG_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.sampled_from(_CONFIG_KEYS),
+        st.one_of(
+            st.just(("drop",)),
+            st.tuples(st.just("set"), st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                                                st.text(max_size=4), st.lists(st.integers(), max_size=2))),
+            st.tuples(st.just("damage"), _MUTATIONS),
+        ),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _edit_config(entries: list[dict], edits) -> list[dict]:
+    for i, key, (op, *arg) in edits:
+        if op == "drop":
+            entries[i].pop(key, None)
+        elif op == "set":
+            entries[i][key] = arg[0]
+        else:
+            text = str(entries[i].get(key, "")).encode("utf-8")
+            entries[i][key] = _mutate(text, arg[0]).decode("utf-8", "replace")
+    return entries
+
+
+@pytest.fixture(scope="module")
+def module_replay_server(fixtures_dir):
+    from btcforecast.ingest import ReplayServer
+
+    with ReplayServer(fixtures_dir) as server:
+        yield server
+
+
+def _only_to(server):
+    """Patch urlopen to reach nothing but server: a damaged base_url fails
+    as an unreachable host would, without leaving this machine."""
+    urlopen = urllib.request.urlopen
+
+    def guarded(url, *args, **kwargs):
+        if not url.startswith(server.base_url + "/"):
+            raise urllib.error.URLError(f"not the replay server: {url!r}")
+        return urlopen(url, *args, **kwargs)
+
+    return mock.patch.object(urllib.request, "urlopen", guarded)
+
+
 class TestInputFuzz:
     @pytest.mark.parametrize("target,argv", _FUZZ_CASES, ids=[target for target, _ in _FUZZ_CASES])
     @settings(max_examples=30, deadline=None)
@@ -572,6 +694,32 @@ class TestInputFuzz:
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")
                 code = run([str(root / a) if a.endswith(".csv") else a for a in argv])
+        assert code in (0, 1)
+        lines = err.getvalue().splitlines()
+        assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error:")), lines
+
+
+    @settings(max_examples=50, deadline=None)
+    @given(edits=_CONFIG_EDITS)
+    def test_damaged_ingest_config_exits_0_or_1_with_one_line(self, module_replay_server, edits):
+        """The same for the sources config of ingest, with one source per
+        schema polled once against the replay server."""
+        from btcforecast.ingest import SCHEMAS
+
+        entries = [
+            {"name": schema, "base_url": module_replay_server.url_for(schema), "poll_interval_s": 0.01,
+             "schema": schema}
+            for schema in SCHEMAS
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "cfg.json").write_text(json.dumps(_edit_config(entries, edits)), encoding="utf-8")
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), _only_to(module_replay_server):
+                warnings.simplefilter("error")
+                code = run(["ingest", "--config", str(root / "cfg.json"), "--out-dir", str(root / "logs"),
+                            "--max-polls", "1"])
         assert code in (0, 1)
         lines = err.getvalue().splitlines()
         assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error:")), lines

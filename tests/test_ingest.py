@@ -1,11 +1,16 @@
 from __future__ import annotations
 
-import dataclasses
+import io
 import json
+import math
 import threading
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btcforecast.ingest import client
 from btcforecast.ingest import (
@@ -14,9 +19,7 @@ from btcforecast.ingest import (
     MARKETCAP_SNAPSHOT,
     SCHEMAS,
     FetchError,
-    MarketSnapshot,
     OutOfOrderError,
-    PriceTick,
     RecordLog,
     SchemaError,
     SourceConfig,
@@ -25,8 +28,72 @@ from btcforecast.ingest import (
     parse_payload,
     poll,
 )
+from btcforecast.ingest.sources import PRICE, TEXT, TIME
 
 TABLE2_FIELDS = ("high", "last", "timestamp", "bid", "vwap", "volume", "low", "ask", "open", "datetime")
+
+
+FIXTURES_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+FIRST_PAYLOADS = {
+    schema: json.loads((FIXTURES_DIR / schema / "000.json").read_text("utf-8")) for schema in SCHEMAS
+}
+
+
+def _columns(schema):
+    return tuple(column for _, column, _ in SCHEMAS[schema])
+
+
+# JSON values at and past the boundary of each field kind: numbers and
+# numeric strings (past the float and int64 ranges, non-finite, malformed),
+# other scalars, and lists and objects nesting them
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.integers(2**62, 10**400),
+    st.floats(),
+    st.floats().map(repr),
+    st.integers(-(2**64), 2**64).map(str),
+    st.sampled_from(["1e999", "-inf", "nan", "1e30", "0", "-1", "1_0", "0x1", " 7 ", "", "9" * 400,
+                     "9223372036854775807", "9223372036854775808", "-9223372036854775809"]),
+)
+_SCALARS = st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=4))
+_JSON_VALUES = st.one_of(
+    _NUMBERS,
+    _SCALARS,
+    st.lists(_SCALARS, max_size=2) | st.dictionaries(st.text(max_size=2), st.lists(_SCALARS, max_size=2), max_size=2),
+)
+
+
+@st.composite
+def _payloads(draw, schema):
+    """The schema's first fixture payload with up to three of its keys
+    dropped or given a drawn value."""
+    payload = dict(FIRST_PAYLOADS[schema])
+    for key in draw(st.sets(st.sampled_from([key for key, _, _ in SCHEMAS[schema]]), max_size=3)):
+        if draw(st.integers(0, 3)) == 0:
+            del payload[key]
+        else:
+            payload[key] = draw(_JSON_VALUES)
+    return payload
+
+
+def _assert_record_of(schema, record):
+    """record holds exactly the schema's log columns, each a value of its
+    kind: text a str, time an int64, every number a finite float, prices > 0."""
+    assert tuple(record) == _columns(schema)
+    for _, column, kind in SCHEMAS[schema]:
+        value = record[column]
+        if kind == TEXT:
+            assert type(value) is str
+        elif kind == TIME:
+            assert type(value) is int and -(2**63) <= value < 2**63
+        else:
+            assert type(value) is float and math.isfinite(value) and (kind != PRICE or value > 0)
+
+
+def _serving(*bodies):
+    """Patch urlopen to answer each request with the next of bodies."""
+    answers = iter(bodies)
+    return mock.patch.object(client.urllib.request, "urlopen", lambda url, timeout: io.BytesIO(next(answers)))
 
 
 def _config(server, schema, query="", interval=0.01):
@@ -41,11 +108,11 @@ def _config(server, schema, query="", interval=0.01):
 class TestParsePayload:
     def test_bitstamp_fixture_maps_all_fields(self, bitstamp_payload):
         tick = parse_payload(BITSTAMP_TICKER, bitstamp_payload)
-        assert isinstance(tick, PriceTick)
-        assert tick.timestamp == int(bitstamp_payload["timestamp"])
-        assert tick.datetime == bitstamp_payload["datetime"]
+        assert tuple(tick) == TABLE2_FIELDS
+        assert tick["timestamp"] == int(bitstamp_payload["timestamp"])
+        assert tick["datetime"] == bitstamp_payload["datetime"]
         for field in ("high", "last", "bid", "vwap", "volume", "low", "ask", "open"):
-            assert getattr(tick, field) == float(bitstamp_payload[field])
+            assert tick[field] == float(bitstamp_payload[field])
 
     def test_missing_field_names_it(self, bitstamp_payload):
         payload = dict(bitstamp_payload)
@@ -66,20 +133,20 @@ class TestParsePayload:
     def test_marketcap_snapshot(self, fixtures_dir):
         payload = json.loads((fixtures_dir / "marketcap_snapshot" / "000.json").read_text())
         snap = parse_payload(MARKETCAP_SNAPSHOT, payload)
-        assert isinstance(snap, MarketSnapshot)
-        assert snap.price_usd == pytest.approx(6461.28)
-        assert snap.volume_24h_usd == pytest.approx(4168760000.0)
-        assert snap.pct_change_7d == pytest.approx(-0.55)
-        assert snap.created == 1537528980
-        assert snap.usd_sell is None  # not part of this schema's group
+        assert tuple(snap) == _columns(MARKETCAP_SNAPSHOT)
+        assert snap["price_usd"] == pytest.approx(6461.28)
+        assert snap["24h_volume_usd"] == pytest.approx(4168760000.0)
+        assert snap["percentage_change_7d"] == pytest.approx(-0.55)
+        assert snap["created"] == 1537528980
+        assert "usd_sell" not in snap  # not part of this schema
 
     def test_blockchain_quotes(self, fixtures_dir):
         payload = json.loads((fixtures_dir / "blockchain_quotes" / "000.json").read_text())
         snap = parse_payload(BLOCKCHAIN_QUOTES, payload)
-        assert snap.usd_sell == pytest.approx(6450.21)
-        assert snap.usd_buy == pytest.approx(6455.43)
-        assert snap.usd_15m == pytest.approx(6452.84)
-        assert snap.price_usd is None
+        assert snap["usd_sell"] == pytest.approx(6450.21)
+        assert snap["usd_buy"] == pytest.approx(6455.43)
+        assert snap["usd_15m"] == pytest.approx(6452.84)
+        assert "price_usd" not in snap
 
     def test_supply_invariant(self, fixtures_dir):
         payload = json.loads((fixtures_dir / "marketcap_snapshot" / "000.json").read_text())
@@ -87,24 +154,45 @@ class TestParsePayload:
         with pytest.raises(SchemaError, match="available_supply"):
             parse_payload(MARKETCAP_SNAPSHOT, payload)
 
+    @pytest.mark.parametrize("key, value", [
+        ("last", 10**400),  # a JSON integer too large for a float
+        ("last", True),  # a JSON boolean is not a number
+        ("volume", False),
+        ("timestamp", "1e30"),  # past 64 bits
+        ("timestamp", 2**63),
+    ])
+    def test_value_outside_its_kind_names_the_key(self, bitstamp_payload, key, value):
+        with pytest.raises(SchemaError, match=key) as info:
+            parse_payload(BITSTAMP_TICKER, bitstamp_payload | {key: value})
+        assert info.value.field == key
+
+    @pytest.mark.parametrize("schema", list(SCHEMAS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_payload_gives_a_full_record_or_names_a_key(self, schema, data):
+        """Any decoded payload gives a record of the schema's columns, each
+        of its kind, or a SchemaError naming one of the schema's keys."""
+        try:
+            record = parse_payload(schema, data.draw(_payloads(schema)))
+        except SchemaError as e:
+            assert e.field in {key for key, _, _ in SCHEMAS[schema]}
+        else:
+            _assert_record_of(schema, record)
+
     def test_every_table_field_has_one_home(self):
-        # Table 2 -> PriceTick, Table 1 -> MarketSnapshot, split across the
-        # two snapshot schemas; no field is mapped twice
-        assert SCHEMAS[BITSTAMP_TICKER].log_columns == TABLE2_FIELDS
-        snapshot_fields = [
-            f for _, f, _ in SCHEMAS[MARKETCAP_SNAPSHOT].field_map
-        ] + [f for _, f, _ in SCHEMAS[BLOCKCHAIN_QUOTES].field_map]
-        value_fields = [f for f in snapshot_fields if f != "created"]
-        assert len(value_fields) == len(set(value_fields)) == 11
-        record_fields = {f.name for f in dataclasses.fields(MarketSnapshot)}
-        assert set(value_fields) <= record_fields
+        # Table 2 -> the ticker log, Table 1 -> split across the two
+        # snapshot logs; no field is mapped twice
+        assert _columns(BITSTAMP_TICKER) == TABLE2_FIELDS
+        snapshot_columns = _columns(MARKETCAP_SNAPSHOT) + _columns(BLOCKCHAIN_QUOTES)
+        value_columns = [c for c in snapshot_columns if c != "created"]
+        assert len(value_columns) == len(set(value_columns)) == 11
+        # each schema orders its log by exactly one time column
+        assert all([kind for *_, kind in SCHEMAS[s]].count(TIME) == 1 for s in SCHEMAS)
 
 
 class TestRecordLog:
     def _tick(self, bitstamp_payload, ts):
-        return dataclasses.replace(
-            parse_payload(BITSTAMP_TICKER, bitstamp_payload), timestamp=ts
-        )
+        return parse_payload(BITSTAMP_TICKER, bitstamp_payload) | {"timestamp": ts}
 
     def test_ordered_appends(self, tmp_path, bitstamp_payload):
         with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
@@ -112,7 +200,7 @@ class TestRecordLog:
             log.append(self._tick(bitstamp_payload, 160))
             records = log.read()
             assert len(records) == 2
-            assert [r.timestamp for r in records] == [100, 160]
+            assert [r["timestamp"] for r in records] == [100, 160]
 
     def test_out_of_order_rejected(self, tmp_path, bitstamp_payload):
         with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
@@ -148,7 +236,7 @@ class TestRecordLog:
             with pytest.raises(OutOfOrderError):
                 log.append(self._tick(bitstamp_payload, 50))
             log.append(self._tick(bitstamp_payload, 150))
-            assert [r.timestamp for r in log.read()] == [100, 150]
+            assert [r["timestamp"] for r in log.read()] == [100, 150]
 
     def test_reader_sees_prefix_while_writing(self, tmp_path, bitstamp_payload):
         with RecordLog(tmp_path / "ticks.csv", BITSTAMP_TICKER) as log:
@@ -195,12 +283,19 @@ class TestRecordLog:
         with pytest.raises(ValueError, match=r"ticks\.csv:2: column 'timestamp'"):
             RecordLog(path, BITSTAMP_TICKER)
 
+    def test_reopen_rejects_timestamp_past_64_bits(self, tmp_path, bitstamp_payload):
+        path = tmp_path / "ticks.csv"
+        with RecordLog(path, BITSTAMP_TICKER) as log:
+            log.append(self._tick(bitstamp_payload, int(1e30)))  # a payload's "1e30", once let through
+        with pytest.raises(ValueError, match=r"ticks\.csv:2: column 'timestamp': timestamp must fit in a 64-bit"):
+            RecordLog(path, BITSTAMP_TICKER)
+
     def test_reopen_after_trailing_blank_line(self, tmp_path, bitstamp_payload):
         path = tmp_path / "ticks.csv"
         self._log_with(path, bitstamp_payload, 2, tail="\n")
         with RecordLog(path, BITSTAMP_TICKER) as log:
             log.append(self._tick(bitstamp_payload, 200))
-            assert [r.timestamp for r in log.read()] == [100, 160, 200]
+            assert [r["timestamp"] for r in log.read()] == [100, 160, 200]
 
     def test_snapshot_log(self, tmp_path, fixtures_dir):
         payload = json.loads((fixtures_dir / "blockchain_quotes" / "000.json").read_text())
@@ -213,8 +308,8 @@ class TestRecordLog:
 class TestFetchOnce:
     def test_fetches_fixture_tick(self, replay_server):
         tick = fetch_once(_config(replay_server, BITSTAMP_TICKER))
-        assert isinstance(tick, PriceTick)
-        assert tick.last == pytest.approx(6453.12)
+        assert tuple(tick) == TABLE2_FIELDS
+        assert tick["last"] == pytest.approx(6453.12)
 
     def test_drop_fault_raises_schema_error(self, replay_server):
         cfg = _config(replay_server, BITSTAMP_TICKER, query="fault=drop:vwap")
@@ -244,6 +339,30 @@ class TestFetchOnce:
         with pytest.raises(FetchError):
             fetch_once(cfg)
 
+    def test_deeply_nested_body_is_fetch_error(self):
+        cfg = SourceConfig("deep", "http://unused/", BITSTAMP_TICKER)
+        with _serving(b"[" * 100_000), pytest.raises(FetchError, match="deep: malformed response body"):
+            fetch_once(cfg)
+
+    @pytest.mark.parametrize("schema", list(SCHEMAS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_body_gives_a_record_or_a_handled_error(self, schema, data):
+        """Every response body gives a full record, a FetchError or a
+        SchemaError: the errors a poll logs and skips."""
+        body = data.draw(st.one_of(
+            st.binary(max_size=32),
+            _payloads(schema).map(lambda payload: json.dumps(payload).encode("utf-8")),
+            st.sampled_from([b"[" * 100_000, b'{"a":' * 100_000, b'{"last":' + b"9" * 5000 + b"}",
+                             b"null", b"[]", b'"x"', b"1e999", b"\xff{}"]),
+        ))
+        with _serving(body):
+            try:
+                record = fetch_once(SourceConfig("fuzz", "http://unused/", schema))
+            except (FetchError, SchemaError):
+                return
+        _assert_record_of(schema, record)
+
     def test_all_three_schemas_fetch(self, replay_server):
         for schema in (BITSTAMP_TICKER, MARKETCAP_SNAPSHOT, BLOCKCHAIN_QUOTES):
             record = fetch_once(_config(replay_server, schema))
@@ -257,7 +376,7 @@ class TestPoll:
             assert count == 3
             records = log.read()
             assert len(records) == 3
-            assert [r.timestamp for r in records] == sorted(r.timestamp for r in records)
+            assert [r["timestamp"] for r in records] == sorted(r["timestamp"] for r in records)
 
     def test_malformed_payload_skipped_loop_continues(self, replay_server, tmp_path):
         with RecordLog(tmp_path / "t.csv", BITSTAMP_TICKER) as log:
@@ -290,7 +409,7 @@ class TestPoll:
                 assert len(records) == appended == 2
                 for tick in records:
                     for field in TABLE2_FIELDS:
-                        assert getattr(tick, field) is not None
+                        assert tick[field] is not None
 
     def test_cycling_payloads_get_deduplicated(self, replay_server, tmp_path):
         # after one full cycle the replayed timestamps repeat; the log keeps
