@@ -5,6 +5,15 @@ conditional sum-of-squares (CSS) Gauss-Newton for q > 0 from the AR-only OLS
 solution. Its innovations (zero before the sample) and their Jacobian are one
 inverse-MA filter, cut where its impulse response has decayed. Forecasts are
 one-step-ahead in differenced space, integrated back against the series tail.
+
+A rolling forecast that refits a pure AR model (p >= 1) at every step fits
+the training prefix as above, then solves every later prefix at once from
+running normal equations: the Gram matrix of each prefix, its diagonal
+scaled to 1, in one batched solve. OLS by lstsq stays the reference: a
+prefix whose scaled Gram matrix has an eigenvalue ratio below
+_MIN_GRAM_RATIO (a rank-deficient design, such as a noiseless sine, where
+the minimum-norm answer matters) or whose differences are constant is fit
+one by one, with the same bits as before.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ REFIT_ONCE = "once"
 
 _GN_MAX_ITER = 200
 _GN_TOL = 1e-10
+# a rolling AR refit whose equilibrated Gram matrix has a smaller eigenvalue
+# ratio is left to lstsq in fit (see _rolling_ar_forecasts)
+_MIN_GRAM_RATIO = 1e-6
 
 
 class ArimaFitError(RuntimeError):
@@ -332,7 +344,13 @@ def rolling_forecast(
     refit: str = REFIT_ALWAYS,
 ) -> np.ndarray:
     """Static one-step forecasts over the test range: fit on the training
-    prefix, then forecast / append the true value / refit, per test point."""
+    prefix, then forecast / append the true value / refit, per test point.
+
+    With refit always, q = 0 and p >= 1, the refits after the first are
+    solved in one batch (_rolling_ar_forecasts); only a prefix whose scaled
+    Gram matrix has an eigenvalue ratio below _MIN_GRAM_RATIO, or whose
+    differences are constant, is fit one by one, as every refit is
+    otherwise."""
     if refit not in (REFIT_ALWAYS, REFIT_ONCE):
         raise ValueError(f"refit must be '{REFIT_ALWAYS}' or '{REFIT_ONCE}'")
     series = np.asarray(series, dtype=np.float64)
@@ -349,6 +367,10 @@ def rolling_forecast(
 
     model = _fit_prefix(n_train)
     preds = np.empty(n_test)
+    if refit == REFIT_ALWAYS and order.q == 0 and order.p >= 1:
+        preds[0] = forecast_one(model)
+        preds[1:] = _rolling_ar_forecasts(series, order, include_intercept, n_train, _fit_prefix)
+        return preds
     for k, i in enumerate(range(n_train, n)):
         preds[k] = forecast_one(model)
         if i + 1 < n:
@@ -357,3 +379,54 @@ def rolling_forecast(
             else:
                 model = model.with_observation(series[i])
     return preds
+
+
+def _rolling_ar_forecasts(
+    series: np.ndarray, order: ArimaOrder, include_intercept: bool, first: int, fit_prefix
+) -> np.ndarray:
+    """forecast_one(fit(series[:e])) for e = first + 1 .. n - 1, for q = 0
+    and p >= 1, given that series[:first] fits.
+
+    The series is differenced and its lag matrix built once. The Gram
+    matrix X'X and moment X'y of prefix series[:first] are one matmul; those
+    of the later prefixes add its new rows by a cumulative sum. Each Gram is
+    equilibrated (diagonal scaled to 1), and every prefix whose equilibrated
+    Gram has an eigenvalue ratio of at least _MIN_GRAM_RATIO is solved in
+    one batched np.linalg.solve. The rest (rank-deficient designs, where
+    fit's minimum-norm lstsq answer matters, constant differences, which
+    fit warns about, and non-finite values) go through fit_prefix.
+    Forecasts are summed in _one_step_diff / forecast_one order."""
+    p, d = order.p, order.d
+    levels = [series]  # levels[j] is the j-th difference
+    for _ in range(d):
+        levels.append(np.diff(levels[-1]))
+    w = levels[d]
+    X, y = _lag_matrix(w, p, include_intercept), w[p:]
+    ends = np.arange(first + 1, len(series))
+    rows = first - d - p  # lag-matrix rows of series[:first]
+    new_x, new_y = X[rows : rows + len(ends)], y[rows : rows + len(ends)]
+    last = ends - d - 1  # index in w of each prefix's last difference
+    constant = np.maximum.accumulate(w)[last] == np.minimum.accumulate(w)[last]
+    with np.errstate(all="ignore"):  # non-finite Grams are sent to fit_prefix
+        gram = X[:rows].T @ X[:rows] + np.cumsum(new_x[:, :, None] * new_x[:, None, :], axis=0)
+        moment = X[:rows].T @ y[:rows] + np.cumsum(new_x * new_y[:, None], axis=0)
+        scale = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        gram *= scale[:, :, None] * scale[:, None, :]
+        moment *= scale
+    usable = ~constant & np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
+    gram[~usable] = np.eye(X.shape[1])  # any finite stand-in: these go to fit_prefix
+    eig = np.linalg.eigvalsh(gram)  # ascending
+    fast = usable & (eig[:, 0] >= _MIN_GRAM_RATIO * eig[:, -1])
+    beta = np.linalg.solve(gram[fast], moment[fast][:, :, None])[:, :, 0] * scale[fast]
+
+    k = int(include_intercept)
+    preds = beta[:, 0].copy() if include_intercept else np.zeros(len(beta))
+    for i in range(p):
+        preds += beta[:, k + i] * w[last[fast] - i]
+    for j in reversed(range(d)):
+        preds += levels[j][ends[fast] - 1 - j]
+    out = np.empty(len(ends))
+    out[fast] = preds
+    for j in np.flatnonzero(~fast):
+        out[j] = forecast_one(fit_prefix(int(ends[j])))
+    return out

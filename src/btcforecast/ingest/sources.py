@@ -8,16 +8,19 @@ just another bitstamp_ticker-shaped feed.
 A schema is one table of (payload key, log column, kind) rows in
 log-column order, and a record is a dict from log column to value, in
 that order: the row it is written as. A kind says how a field parses:
-text (kept as a string), time (the record's ordering key, an integer that
-fits in 64 bits), number (finite) or price (finite and > 0). A record is
-only built when every field of its schema is present and parses, so no
-partial records ever reach a log.
+text (a JSON string of at most 1024 characters, none a control character
+or a lone surrogate, kept as is), time (the record's ordering key, an
+integer that fits in 64 bits), number (finite) or price (finite and > 0).
+A record is only built when every field of its schema is present and
+parses, so no partial records ever reach a log, and every record written
+reopens.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +31,13 @@ MARKETCAP_SNAPSHOT = "marketcap_snapshot"
 BLOCKCHAIN_QUOTES = "blockchain_quotes"
 
 TEXT, TIME, NUMBER, PRICE = "text", "time", "number", "price"
+
+# a text field is a JSON string of at most _MAX_TEXT_CHARS characters (the
+# csv reader refuses a field past 131072 when the log is reopened) without
+# C0 or C1 control characters (the log writer leaves a CR unquoted, which
+# splits the row) or lone surrogates (no UTF-8 encoding)
+_MAX_TEXT_CHARS = 1024
+_UNWRITABLE_TEXT = re.compile(r"[\x00-\x1f\x7f-\x9f\ud800-\udfff]")
 
 
 class SchemaError(ValueError):
@@ -100,7 +110,13 @@ def parse_payload(schema: str, payload: dict) -> dict[str, str | int | float]:
             raise SchemaError(key, "missing required field")
         raw = payload[key]
         if kind == TEXT:
-            record[column] = str(raw)
+            if not isinstance(raw, str):
+                raise SchemaError(key, "non-string text field")
+            if len(raw) > _MAX_TEXT_CHARS:
+                raise SchemaError(key, f"text field longer than {_MAX_TEXT_CHARS} characters")
+            if _UNWRITABLE_TEXT.search(raw):
+                raise SchemaError(key, "control character or lone surrogate in text field")
+            record[column] = raw
             continue
         if isinstance(raw, bool):  # float(True) would read as 1.0
             raise SchemaError(key, "non-numeric field")

@@ -15,6 +15,12 @@ gives all four gates, each a contiguous row block of a. Training minimizes
 mean absolute error with one Adam step per epoch (full batch), which makes
 runs bit-reproducible for a fixed seed. Everything is float64.
 
+h and c enter the first step as zero. So that step computes a from the x
+columns of W alone, as [W_x, b] @ [x; 1] in one matmul, and sets
+c = i * g; its backward pass leaves out the forget gate and the h columns
+of dW. At lag 1 this step is the whole recurrence. Its f rows are still
+computed, so every cached gate is a valid activation.
+
 Each epoch splits the batch into two fixed halves. Each half has a
 workspace, allocated once per training, that forward and backward write in
 place, and the two halves run on up to two threads (worker_count). The main
@@ -145,10 +151,12 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
 
 class _Workspace:
     """Every buffer that forward and backward over one (n, lag, n_features)
-    batch need, allocated once and written in place. z[t] = [h; x] at step
-    t: its x rows are filled here and never change, its h rows (zero at
-    t = 0) are written by step t - 1. c[t] is the cell state entering step
-    t, so c[0] = 0 and c[lag] is the final state."""
+    batch need, allocated once and written in place. x1 = [x; 1] is the
+    input of step 0, where h is zero: one matmul with [W_x, b] gives its
+    gates (numpy's matmul is slow at an inner size of 1). z[t - 1] = [h; x]
+    is the input of step t >= 1: its x rows are filled here and never
+    change, its h rows are written by step t - 1. c[t] is the cell state
+    entering step t, so c[0] = 0 and c[lag] is the final state."""
 
     def __init__(self, model: LstmModel, windows: np.ndarray):
         n, lag, f = windows.shape
@@ -157,8 +165,10 @@ class _Workspace:
             raise ValueError(f"model expects {model.n_features} features, got {f}")
         if not np.isfinite(windows).all():
             raise ValueError("non-finite input window")
-        self.z = np.zeros((lag, h + f, n))
-        self.z[:, h:, :] = windows.transpose(1, 2, 0)
+        self.x1 = np.ones((f + 1, n))
+        self.x1[:f] = windows[:, 0, :].T
+        self.z = np.zeros((lag - 1, h + f, n))
+        self.z[:, h:, :] = windows[:, 1:, :].transpose(1, 2, 0)
         self.gates = np.empty((lag, 4 * h, n))      # activated f, i, o, g rows
         self.gate_rows = [np.split(g, 4) for g in self.gates]
         self.c = np.zeros((lag + 1, h, n))
@@ -178,22 +188,28 @@ def _forward_batch(model: LstmModel, ws: _Workspace) -> np.ndarray:
     """Run the recurrence over the workspace's batch; returns one prediction
     per sample and leaves in ws what backward needs."""
     h = model.hidden_size
-    lag = len(ws.z)
+    lag = len(ws.gates)
     b = model.b[:, None]
     tmp = ws.scratch[0]
     for t in range(lag):
         gates = ws.gates[t]
-        np.matmul(model.W, ws.z[t], out=gates)
-        gates += b
+        if t:
+            np.matmul(model.W, ws.z[t - 1], out=gates)
+            gates += b
+        else:  # h enters step 0 as zero: only the x columns of W act
+            np.matmul(np.column_stack([model.W[:, h:], model.b]), ws.x1, out=gates)
         _sigmoid_inplace(gates[: 3 * h])
         np.tanh(gates[3 * h :], out=gates[3 * h :])
         ft, it, ot, gt = ws.gate_rows[t]
         C = ws.c[t + 1]
-        np.multiply(ft, ws.c[t], out=C)
-        np.multiply(it, gt, out=tmp)
-        C += tmp
+        if t:
+            np.multiply(ft, ws.c[t], out=C)
+            np.multiply(it, gt, out=tmp)
+            C += tmp
+        else:  # c enters step 0 as zero
+            np.multiply(it, gt, out=C)
         np.tanh(C, out=ws.tanh_c[t])
-        H = ws.z[t + 1, :h] if t + 1 < lag else ws.h_last
+        H = ws.z[t, :h] if t + 1 < lag else ws.h_last
         np.multiply(ot, ws.tanh_c[t], out=H)
     pred = model.Wd @ ws.h_last + model.bd[:, None]
     return pred[0]
@@ -216,7 +232,7 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
     da_f, da_i, da_o, da_g = ws.da_rows
     s, u = ws.scratch
     # each expression is evaluated left to right, as written in the comments
-    for t in reversed(range(len(ws.z))):
+    for t in reversed(range(len(ws.gates))):
         ft, it, ot, gt = ws.gate_rows[t]
         tanh_c = ws.tanh_c[t]
         # dC += dH * ot * (1 - tanh_c * tanh_c)
@@ -225,11 +241,11 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
         np.multiply(dH, ot, out=u)
         u *= s
         dC += u
-        # da_f = dC * c_prev * ft * (1 - ft)
-        np.multiply(dC, ws.c[t], out=da_f)
-        da_f *= ft
-        np.subtract(1.0, ft, out=s)
-        da_f *= s
+        if t:  # da_f = dC * c_prev * ft * (1 - ft), which is 0 at t = 0
+            np.multiply(dC, ws.c[t], out=da_f)
+            da_f *= ft
+            np.subtract(1.0, ft, out=s)
+            da_f *= s
         # da_i = dC * gt * it * (1 - it)
         np.multiply(dC, gt, out=da_i)
         da_i *= it
@@ -245,10 +261,14 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
         np.multiply(gt, gt, out=s)
         np.subtract(1.0, s, out=s)
         da_g *= s
-        grads["W"] += np.matmul(da, ws.z[t].T, out=ws.dW)
-        grads["b"] += np.sum(da, axis=1, out=ws.db)
-        if t == 0:  # no earlier step reads dH and dC
+        if t == 0:  # only the i, o, g rows of the x columns and of b get a
+            # gradient, which is da @ [x; 1]'; no earlier step reads dH and dC
+            dx1 = da[h:] @ ws.x1.T
+            grads["W"][h:, h:] += dx1[:, :-1]
+            grads["b"][h:] += dx1[:, -1]
             break
+        grads["W"] += np.matmul(da, ws.z[t - 1].T, out=ws.dW)
+        grads["b"] += np.sum(da, axis=1, out=ws.db)
         np.matmul(W_hT, da, out=dH)
         dC *= ft
     return grads

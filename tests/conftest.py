@@ -39,6 +39,23 @@ def example_lexicon() -> Lexicon:
 
 
 @pytest.fixture()
+def fit_calls(monkeypatch) -> list[int]:
+    """Patch arima.fit, as rolling_forecast calls it, to record the length
+    of each series it fits."""
+    from btcforecast import arima
+
+    calls = []
+    original = arima.fit
+
+    def counted(series, *args, **kwargs):
+        calls.append(len(series))
+        return original(series, *args, **kwargs)
+
+    monkeypatch.setattr(arima, "fit", counted)
+    return calls
+
+
+@pytest.fixture()
 def replay_server(fixtures_dir):
     from btcforecast.ingest import ReplayServer
 

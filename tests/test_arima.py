@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from btcforecast.arima import (
+    _MIN_GRAM_RATIO,
     ArimaFitError,
     ArimaOrder,
     _css,
@@ -215,6 +216,95 @@ class TestRollingForecast:
         y = random_walk(40, seed=2)
         with pytest.raises(ArimaFitError, match="index"):
             rolling_forecast(y, ArimaOrder(30, 1, 0))
+
+
+def _per_prefix_forecasts(series, order, include_intercept=True):
+    """The oracle of a rolling forecast with refit always: fit and
+    forecast_one on every prefix, one by one."""
+    n_train, _ = train_test_counts(len(series))
+    return np.array([forecast_one(fit(series[:end], order, include_intercept))
+                     for end in range(n_train, len(series))])
+
+
+def _equilibrated_gram_ratios(series, p, d, include_intercept=True):
+    """min / max eigenvalue of the Gram matrix, its diagonal scaled to 1,
+    of the lag design of each prefix the batched path solves."""
+    w = np.diff(series, d)
+    X = _lag_matrix(w, p, include_intercept)
+    n_train, _ = train_test_counts(len(series))
+    ratios = []
+    for end in range(n_train + 1, len(series)):
+        rows = X[: end - d - p]
+        gram = rows.T @ rows
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        eig = np.linalg.eigvalsh(gram * scale[:, None] * scale[None, :])
+        ratios.append(eig[0] / eig[-1])
+    return np.array(ratios)
+
+
+def _assert_close_to(new, reference, rtol=1e-9):
+    """Every forecast within rtol of the largest reference forecast."""
+    assert np.max(np.abs(new - reference)) <= rtol * np.max(np.abs(reference))
+
+
+class TestRollingArRefits:
+    """With refit always and q = 0, rolling_forecast solves the refits after
+    the first from running normal equations, and leaves nearly singular
+    designs and constant differences to fit."""
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    def test_matches_a_fit_per_prefix(self, fit_calls, d, p, include_intercept):
+        w = ar_process([0.5, -0.3, 0.1], 200, sigma=2.0, seed=10 * d + p, c=0.5 * include_intercept)
+        series = w
+        for _ in range(d):
+            series = np.concatenate([[100.0], 100.0 + np.cumsum(series)])
+        order = ArimaOrder(p, d, 0)
+        batched = rolling_forecast(series, order, include_intercept=include_intercept)
+        assert len(fit_calls) == 1  # the training prefix; every refit took the batched path
+        _assert_close_to(batched, _per_prefix_forecasts(series, order, include_intercept))
+
+    def test_noiseless_sine_takes_lstsq_at_every_prefix(self, fit_calls):
+        """A noiseless sine's lag design is rank-deficient; lstsq's
+        minimum-norm answer is kept, bit for bit."""
+        price = sine_series(n=300, period=40).price
+        order = ArimaOrder(10, 1, 0)
+        assert _equilibrated_gram_ratios(price, 10, 1).max() < 1e-12
+        batched = rolling_forecast(price, order)
+        assert len(fit_calls) == train_test_counts(300)[1]
+        assert np.array_equal(batched, _per_prefix_forecasts(price, order))
+
+    @pytest.mark.parametrize("noise, batched_fits", [(0.0015, 1), (0.001, None)],
+                             ids=["just-above", "just-below"])
+    def test_design_at_the_threshold(self, fit_calls, noise, batched_fits):
+        """A sine plus a little noise under AR(3) makes a nearly collinear
+        design. Just above the threshold every refit is batched and stays
+        within 1e-9; just below, every one is fit as before, bit for bit."""
+        t = np.arange(300)
+        series = np.sin(2 * np.pi * t / 40) + np.random.default_rng(0).normal(0.0, noise, 300)
+        order = ArimaOrder(3, 0, 0)
+        ratios = _equilibrated_gram_ratios(series, 3, 0)
+        batched = rolling_forecast(series, order)
+        reference = _per_prefix_forecasts(series, order)
+        if batched_fits:
+            assert _MIN_GRAM_RATIO <= ratios.min() <= 2 * _MIN_GRAM_RATIO
+            assert len(fit_calls) == batched_fits
+            _assert_close_to(batched, reference)
+        else:
+            assert ratios.max() < _MIN_GRAM_RATIO
+            assert len(fit_calls) == train_test_counts(300)[1]
+            assert np.array_equal(batched, reference)
+
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    def test_constant_differences_still_warn(self, fit_calls, include_intercept):
+        series = 5.0 + 2.0 * np.arange(60.0)
+        order = ArimaOrder(1, 1, 0)
+        with pytest.warns(UserWarning, match="constant differenced series"):
+            batched = rolling_forecast(series, order, include_intercept=include_intercept)
+        assert len(fit_calls) == train_test_counts(60)[1]
+        with pytest.warns(UserWarning):
+            assert np.array_equal(batched, _per_prefix_forecasts(series, order, include_intercept))
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (0, 2), (1, 2), (2, 3)])

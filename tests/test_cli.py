@@ -264,11 +264,14 @@ class TestErrorPaths:
         lambda payload: json.dumps(payload | {"last": 10**400}).encode("utf-8"),  # past the float range
         lambda payload: b"[" * 100_000,  # nested past the recursion limit
         lambda payload: json.dumps(payload | {"timestamp": "1e30"}).encode("utf-8"),  # past 64 bits
-    ], ids=["huge-integer", "deep-nesting", "timestamp-1e30"])
+        lambda payload: json.dumps(payload | {"datetime": "2018-09-21\r10:43:00"}).encode("utf-8"),
+        lambda payload: json.dumps(payload | {"datetime": "\ud800"}).encode("utf-8"),  # a lone surrogate
+        lambda payload: json.dumps(payload | {"datetime": {"a": 1}}).encode("utf-8"),
+    ], ids=["huge-integer", "deep-nesting", "timestamp-1e30", "text-cr", "text-surrogate", "text-object"])
     def test_ingest_skips_a_bad_payload(self, tmp_path, bitstamp_payload, bad_body, capfd):
         """A poll whose payload fails is logged and skipped: the loop goes
         on, exit 0, and the count line is printed."""
-        from btcforecast.ingest import BITSTAMP_TICKER, RecordLog, client
+        from btcforecast.ingest import BITSTAMP_TICKER, RecordLog, client, parse_payload
 
         bodies = iter([bad_body(bitstamp_payload), json.dumps(bitstamp_payload).encode("utf-8")])
         config = tmp_path / "sources.json"
@@ -279,7 +282,7 @@ class TestErrorPaths:
         assert code == 0 and err == "", err
         assert out == "bitstamp: 1 records appended\n"
         with RecordLog(tmp_path / "bitstamp.csv", BITSTAMP_TICKER) as log:
-            assert [r["timestamp"] for r in log.read()] == [int(bitstamp_payload["timestamp"])]
+            assert log.read() == [parse_payload(BITSTAMP_TICKER, bitstamp_payload)]
 
     def test_failed_sink_write_stops_ingest_with_exit_1(self, tmp_path, replay_server, monkeypatch, capfd):
         """A poller that raises what poll calls fatal stops every poller;

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import tempfile
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -56,9 +57,16 @@ _NUMBERS = st.one_of(
                      "9223372036854775807", "9223372036854775808", "-9223372036854775809"]),
 )
 _SCALARS = st.one_of(_NUMBERS, st.none(), st.booleans(), st.text(max_size=4))
+# strings for the text kind: any code point, lone surrogates and control
+# characters included, and the edges of the length limit
+_TEXTS = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.sampled_from(["\r", "\n", "\ud800", "a,b", '"', "\u2028", "x" * 1024, "x" * 1025, "x" * 200_000]),
+)
 _JSON_VALUES = st.one_of(
     _NUMBERS,
     _SCALARS,
+    _TEXTS,
     st.lists(_SCALARS, max_size=2) | st.dictionaries(st.text(max_size=2), st.lists(_SCALARS, max_size=2), max_size=2),
 )
 
@@ -88,6 +96,15 @@ def _assert_record_of(schema, record):
             assert type(value) is int and -(2**63) <= value < 2**63
         else:
             assert type(value) is float and math.isfinite(value) and (kind != PRICE or value > 0)
+
+
+def _assert_log_round_trip(schema, record):
+    """A new log holding record reopens and reads back [record]."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with RecordLog(Path(tmp) / "log.csv", schema) as log:
+            log.append(record)
+        with RecordLog(Path(tmp) / "log.csv", schema) as log:
+            assert log.read() == [record]
 
 
 def _serving(*bodies):
@@ -166,18 +183,55 @@ class TestParsePayload:
             parse_payload(BITSTAMP_TICKER, bitstamp_payload | {key: value})
         assert info.value.field == key
 
+    @pytest.mark.parametrize("value", [
+        "2018-09-21\r10:43:00",  # a CR is written unquoted: the log stops reopening
+        "2018-09-21\n10:43:00",
+        "\x00",
+        "\x85",  # a C1 control character
+        "\ud800",  # a lone surrogate has no UTF-8 encoding
+        "x" * 1025,  # past the length limit
+        {"a": 1},  # a JSON object was stored as "{'a': 1}"
+        ["2018-09-21"],
+        1537528988,
+        None,
+    ], ids=["cr", "lf", "nul", "c1", "surrogate", "1025-chars", "object", "list", "number", "null"])
+    def test_text_field_outside_its_kind_names_the_key(self, bitstamp_payload, value):
+        with pytest.raises(SchemaError, match="datetime") as info:
+            parse_payload(BITSTAMP_TICKER, bitstamp_payload | {"datetime": value})
+        assert info.value.field == "datetime"
+
+    @pytest.mark.parametrize("text", ["", "2018-09-21 10:43:00", 'a,"b"', "\u2028\u00e9\U0001f600", "x" * 1024],
+                             ids=["empty", "datetime", "csv-quoting", "non-ascii", "1024-chars"])
+    def test_text_field_is_kept_as_is(self, bitstamp_payload, text):
+        assert parse_payload(BITSTAMP_TICKER, bitstamp_payload | {"datetime": text})["datetime"] == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_TEXTS | _JSON_VALUES)
+    def test_text_field_gives_a_record_that_reopens_or_names_the_key(self, bitstamp_payload, value):
+        """Whatever a text field holds, the payload is rejected naming it,
+        or its record is written and read back unchanged after a reopen."""
+        try:
+            record = parse_payload(BITSTAMP_TICKER, bitstamp_payload | {"datetime": value})
+        except SchemaError as e:
+            assert e.field == "datetime"
+        else:
+            assert record["datetime"] == value
+            _assert_log_round_trip(BITSTAMP_TICKER, record)
+
     @pytest.mark.parametrize("schema", list(SCHEMAS))
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_payload_gives_a_full_record_or_names_a_key(self, schema, data):
         """Any decoded payload gives a record of the schema's columns, each
-        of its kind, or a SchemaError naming one of the schema's keys."""
+        of its kind, which a RecordLog writes and reads back unchanged after
+        a reopen, or a SchemaError naming one of the schema's keys."""
         try:
             record = parse_payload(schema, data.draw(_payloads(schema)))
         except SchemaError as e:
             assert e.field in {key for key, _, _ in SCHEMAS[schema]}
         else:
             _assert_record_of(schema, record)
+            _assert_log_round_trip(schema, record)
 
     def test_every_table_field_has_one_home(self):
         # Table 2 -> the ticker log, Table 1 -> split across the two

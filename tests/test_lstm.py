@@ -147,6 +147,16 @@ class TestBackward:
             numeric = fd_gradients(model, window, d)
             assert max_rel_err(analytic, numeric) < 1e-4
 
+    @pytest.mark.parametrize("n_features", [1, 2])
+    def test_lag1_matches_finite_differences(self, n_features):
+        """At lag 1 the zero-state first step is the whole recurrence."""
+        rng = np.random.default_rng(n_features)
+        model = init(LstmConfig(n_features=n_features, hidden_size=4, lag=1, seed=5))
+        model.b[:] = rng.uniform(-0.5, 0.5, size=model.b.shape)
+        window = rng.uniform(0, 1, size=(1, n_features))
+        _, cache = forward(model, window)
+        assert max_rel_err(backward(model, cache, 1.3), fd_gradients(model, window, 1.3)) < 1e-4
+
     def test_zero_upstream_gives_zero_gradients(self):
         model = init(LstmConfig(hidden_size=3, lag=2, seed=1))
         _, cache = forward(model, np.random.default_rng(1).uniform(0, 1, (2, 1)))

