@@ -1,7 +1,7 @@
 """Command-line entry point wiring the whole pipeline.
 
-Subcommands: ingest, sentiment, merge, train-lstm, train-arima, evaluate,
-plot. Exit codes: 0 success, 1 module error (diagnostic on stderr),
+Subcommands: ingest, sentiment, merge, train-lstm, train-arima, evaluate.
+Exit codes: 0 success, 1 module error (diagnostic on stderr),
 2 usage error.
 
 lstm_report, arima_report and run_comparison are the one path that builds
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="poll configured sources into record logs", formatter_class=fmt)
     p.add_argument("--config", required=True, help="JSON list of sources")
     p.add_argument("--out-dir", default="logs", help="directory for record logs")
-    p.add_argument("--max-polls", type=int, default=None, help="stop each source after N polls")
+    p.add_argument("--max-polls", type=_positive_int, default=None, help="stop each source after N polls")
 
     p = sub.add_parser("sentiment", help="score a posts file into a sentiment log", formatter_class=fmt)
     p.add_argument("--posts", required=True, help="posts CSV (timestamp,source,text)")
@@ -96,12 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_arima_flags(p)
     p.add_argument("--out-dir", default="out", help="directory for reports and plot data")
 
-    p = sub.add_parser("plot", help="re-emit plot data from a saved report", formatter_class=fmt)
-    p.add_argument("--kind", required=True, choices=list(evaluation.PLOT_KINDS))
-    p.add_argument("--in", dest="infile", required=True, help="saved report/data file")
-    p.add_argument("--out", required=True, help="output plot-data file")
-
     return parser
+
+
+def _positive_int(field: str) -> int:
+    value = int(field)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_data_split_flags(p: argparse.ArgumentParser) -> None:
@@ -342,19 +344,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_plot(args) -> int:
-    kind = args.kind
-    if kind == "forecast_overlay":
-        inputs = evaluation.read_forecast_csv(args.infile)
-    elif kind == "train_loss":
-        inputs = [loss for _, (loss,) in read_table(args.infile, {"loss": float})]
-    else:
-        inputs = MergedSeries.from_csv(args.infile)
-    evaluation.emit_plot_data(kind, inputs, args.out)
-    print(f"{kind} -> {args.out}")
-    return 0
-
-
 _COMMANDS = {
     "ingest": _cmd_ingest,
     "sentiment": _cmd_sentiment,
@@ -362,7 +351,6 @@ _COMMANDS = {
     "train-lstm": _cmd_train_lstm,
     "train-arima": _cmd_train_arima,
     "evaluate": _cmd_evaluate,
-    "plot": _cmd_plot,
 }
 
 

@@ -202,16 +202,6 @@ def scale(series: MergedSeries, params: ScalerParams) -> MergedSeries:
     return MergedSeries(series.time, scaled[:, 0], scaled[:, 1])
 
 
-def unscale(values: np.ndarray, params: ScalerParams) -> np.ndarray:
-    """Exact inverse of scale for a (n, n_columns) matrix."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[1] != len(params.columns):
-        raise ValueError(
-            f"expected {len(params.columns)} columns, got shape {values.shape}"
-        )
-    return values * (params.maxs - params.mins) + params.mins
-
-
 def unscale_column(values: np.ndarray, params: ScalerParams, column: str) -> np.ndarray:
     """Inverse-map a single column (e.g. model predictions back to USD)."""
     if column not in params.columns:

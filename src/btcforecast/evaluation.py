@@ -1,5 +1,5 @@
-"""Forecast metrics, the naive baseline, and the model-comparison table
-with plot-ready data files."""
+"""Forecast metrics, the naive baseline, the model-comparison table, and
+the plot-data files that `evaluate` writes."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import MergedSeries, train_test_counts
-from .table import read_table, write_table
-
-PLOT_KINDS = ("normalized_series", "train_loss", "forecast_overlay")
+from .table import write_table
 
 
 def mse(actual, predicted) -> float:
@@ -134,49 +132,18 @@ def compare(reports: list[ForecastReport]) -> ComparisonTable:
 def emit_plot_data(kind: str, inputs, path: str | Path) -> Path:
     """Write a columnar plot-data file whose headers match the figure axes.
 
-    kinds: normalized_series (time,price,sentiment), train_loss (epoch,loss),
-    forecast_overlay (time,actual,predicted).
+    kinds: normalized_series (time,price,sentiment) from a MergedSeries,
+    train_loss (epoch,loss) and forecast_overlay (time,actual,predicted)
+    from a ForecastReport.
     """
     path = Path(path)
-    if kind == "normalized_series":
-        if not isinstance(inputs, MergedSeries):
-            raise ValueError("normalized_series expects a MergedSeries")
-        write_table(
-            path,
-            ["time", "price", "sentiment"],
-            (
-                [int(t), repr(float(p)), repr(float(s))]
-                for t, p, s in zip(inputs.time, inputs.price, inputs.sentiment)
-            ),
-        )
-    elif kind == "train_loss":
-        losses = inputs.losses if hasattr(inputs, "losses") else list(inputs)
-        write_table(
-            path,
-            ["epoch", "loss"],
-            ([i, repr(float(v))] for i, v in enumerate(losses)),
-        )
-    elif kind == "forecast_overlay":
-        if not isinstance(inputs, ForecastReport):
-            raise ValueError("forecast_overlay expects a ForecastReport")
-        write_table(
-            path,
-            ["time", "actual", "predicted"],
-            (
-                [int(t), repr(float(a)), repr(float(p))]
-                for t, a, p in zip(inputs.times, inputs.actual, inputs.predicted)
-            ),
-        )
+    if kind == "normalized_series" and isinstance(inputs, MergedSeries):
+        header, rows = ["time", "price", "sentiment"], zip(inputs.time, inputs.price, inputs.sentiment)
+    elif kind == "train_loss" and isinstance(inputs, ForecastReport) and inputs.losses is not None:
+        header, rows = ["epoch", "loss"], enumerate(inputs.losses)
+    elif kind == "forecast_overlay" and isinstance(inputs, ForecastReport):
+        header, rows = ["time", "actual", "predicted"], zip(inputs.times, inputs.actual, inputs.predicted)
     else:
-        raise ValueError(f"unknown plot kind {kind!r}")
+        raise ValueError(f"no {kind!r} plot data from a {type(inputs).__name__}")
+    write_table(path, header, ([int(t), *(repr(float(v)) for v in values)] for t, *values in rows))
     return path
-
-
-def read_forecast_csv(path: str | Path) -> ForecastReport:
-    """Reload a forecast_overlay file into a report (timings zeroed)."""
-    times, actual, predicted = [], [], []
-    for _, (t, a, p) in read_table(path, {"time": int, "actual": float, "predicted": float}):
-        times.append(t)
-        actual.append(a)
-        predicted.append(p)
-    return ForecastReport.create(Path(path).stem, times, actual, predicted)

@@ -2,7 +2,7 @@
 
 from .client import FetchError, fetch_once, poll
 from .recordlog import OutOfOrderError, RecordLog
-from .replay import ROUTES, TWEETS_PATH, ReplayServer
+from .replay import ROUTES, ReplayServer
 from .sources import (
     BITSTAMP_TICKER,
     BLOCKCHAIN_QUOTES,
@@ -20,7 +20,6 @@ __all__ = [
     "MARKETCAP_SNAPSHOT",
     "SCHEMAS",
     "ROUTES",
-    "TWEETS_PATH",
     "FetchError",
     "OutOfOrderError",
     "RecordLog",

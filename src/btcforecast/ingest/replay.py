@@ -3,7 +3,7 @@ directory at the same paths as the real exchanges, with fault injection
 via query parameters so tests never touch live endpoints.
 
 Fixture layout: <fixtures>/<schema>/NNN.json, served in sorted order and
-cycled per request; <fixtures>/posts.csv backs the /tweets endpoint.
+cycled per request.
 
 Query parameters:
     fault=garbage | status:<code> | drop:<field> | corrupt:<field>
@@ -26,7 +26,6 @@ ROUTES = {
     "/v1/ticker/bitcoin/": MARKETCAP_SNAPSHOT,
     "/ticker": BLOCKCHAIN_QUOTES,
 }
-TWEETS_PATH = "/tweets"
 # How often serve_forever checks for shutdown; stop() waits up to this long.
 _SHUTDOWN_POLL_S = 0.05
 
@@ -101,14 +100,6 @@ class ReplayServer:
                 fault = fault or "garbage"
             else:
                 fault = None
-
-        if path == TWEETS_PATH:
-            posts = self.fixtures_dir / "posts.csv"
-            if not posts.exists():
-                self._respond(handler, 404, b"no posts fixture")
-                return
-            self._respond(handler, 200, posts.read_bytes(), "text/csv")
-            return
 
         schema = ROUTES.get(path)
         if schema is None:

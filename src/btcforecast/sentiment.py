@@ -6,7 +6,6 @@ score -> label. All functions are pure; records are immutable.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ class SentimentRecord:
 
 
 class Lexicon:
-    """Map from lowercase word to polarity weight in [-1, 1]."""
+    """Map from token, as tokenize yields it, to polarity weight in [-1, 1]."""
 
     def __init__(self, entries: dict[str, float]):
         for word, weight in entries.items():
@@ -100,14 +99,12 @@ class Lexicon:
 
 
 def _check_entry(word: str, weight: float) -> None:
-    if not word or word != word.lower() or _has_whitespace(word):
-        raise ValueError(f"bad lexicon key: {word!r}")
+    # a key no post can yield as a token (upper case, whitespace, a BOM, an
+    # emoticon) would never score
+    if tokenize(word) != [word]:
+        raise ValueError(f"bad lexicon key {word!r}: not a token that a post can produce")
     if not -1.0 <= weight <= 1.0:
         raise ValueError(f"lexicon weight out of range for {word!r}: {weight}")
-
-
-def _has_whitespace(s: str) -> bool:
-    return s != "".join(s.split())
 
 
 def load_stopwords() -> frozenset[str]:
@@ -206,15 +203,6 @@ def read_posts(path: str | Path) -> list[RawPost]:
         RawPost(timestamp=t, text=text, source=source)
         for _, (t, source, text) in read_table(path, columns)
     ]
-
-
-def write_posts(path: str | Path, posts: list[RawPost]) -> None:
-    # not table.write_table: posts files quote every non-numeric field
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-        writer.writerow(POST_COLUMNS)
-        for p in posts:
-            writer.writerow([p.timestamp, p.source, p.text])
 
 
 def write_sentiment_log(path: str | Path, records: list[SentimentRecord]) -> None:

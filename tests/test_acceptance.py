@@ -24,7 +24,7 @@ from btcforecast.dataset import (
     split,
     to_supervised,
     train_test_counts,
-    unscale,
+    unscale_column,
 )
 from btcforecast.lstm import LstmConfig, init, train
 from btcforecast.sentiment import classify, normalize_text
@@ -184,7 +184,7 @@ def test_criterion_7_preprocessing_corpus():
 
 
 def test_criterion_8_exact_inverses():
-    """scale/unscale and difference/undifference round-trip within 1e-12
+    """scale/unscale_column and difference/undifference round-trip within 1e-12
     (relative to column/series magnitude) on 1000 random series.
 
     The differencing series are price-like random walks: d-th differences of
@@ -204,7 +204,8 @@ def test_criterion_8_exact_inverses():
         params = fit_scaler(series)
         scaled = scale(series, params)
         cols = np.stack([scaled.price, scaled.sentiment], axis=1)
-        back = unscale(cols, params)
+        back = np.stack([unscale_column(cols[:, j], params, name) for j, name in enumerate(params.columns)],
+                        axis=1)
         original = np.stack([uniform_col, sentiments], axis=1)
         col_scale = np.maximum(np.maximum(np.abs(params.mins), np.abs(params.maxs)), 1.0)
         worst_scale = max(worst_scale, float(np.max(np.abs(back - original) / col_scale)))

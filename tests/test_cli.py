@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -83,6 +84,30 @@ class TestParserDefaults:
         with pytest.raises(SystemExit) as exc:
             run(["evaluate", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("polls", ["0", "-3"])
+    def test_max_polls_below_1_exits_2_before_any_log(self, tmp_path, polls, capsys):
+        config = tmp_path / "sources.json"
+        config.write_text(json.dumps([_SOURCE]), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run(["ingest", "--config", str(config), "--out-dir", str(tmp_path / "logs"), "--max-polls", polls])
+        assert exc.value.code == 2
+        assert "--max-polls" in capsys.readouterr().err
+        assert not (tmp_path / "logs").exists()
+
+    def test_readme_commands_parse(self):
+        """Every `btcforecast ...` command in README.md parses, so a removed
+        subcommand or flag cannot stay behind in the docs."""
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8").replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True)[1:]
+                    for line in text.splitlines() if line.startswith("btcforecast ")]
+        assert commands
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: btcforecast {shlex.join(argv)}")
 
 
 def _assert_one_line_error(capfd, code, *names):
@@ -197,7 +222,7 @@ class TestErrorPaths:
 
     def test_sentiment_outside_unit_range_exits_1(self, small_sine, tmp_path, capfd):
         bad = self._set_field(small_sine, tmp_path / "sent3.csv", 2, "3.0")
-        code = run(["plot", "--kind", "normalized_series", "--in", str(bad), "--out", str(tmp_path / "n.csv")])
+        code = run(["train-arima", "--data", str(bad), "--out-dir", str(tmp_path / "out")])
         _assert_one_line_error(capfd, code, "sent3.csv", "[-1, 1]")
 
     @pytest.mark.parametrize("row, column", [("120,inf", "'price'"), ("1" + "0" * 24 + ",100.5", "'time'")])
@@ -320,6 +345,15 @@ class TestErrorPaths:
                     "--out", str(tmp_path / "s.csv")])
         _assert_one_line_error(capfd, code, where)
 
+    def test_lexicon_with_a_byte_order_mark_exits_1(self, tmp_path, fixtures_dir, capfd):
+        """A BOM sticks to the first key, which no post could then match."""
+        lexicon = tmp_path / "lex.csv"
+        lexicon.write_bytes(b"\xef\xbb\xbfgood,0.5\nbad,-0.5\n")
+        code = run(["sentiment", "--posts", str(fixtures_dir / "posts.csv"), "--lexicon", str(lexicon),
+                    "--out", str(tmp_path / "s.csv")])
+        _assert_one_line_error(capfd, code, "lex.csv:1:", repr("\ufeffgood"))
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestPipelineCommands:
     def test_sentiment_command(self, tmp_path, fixtures_dir, capsys):
@@ -389,15 +423,6 @@ class TestPipelineCommands:
         assert "bitstamp: 3 records appended" in capsys.readouterr().out
         assert (out_dir / "bitstamp.csv").exists()
 
-    def test_plot_roundtrip(self, tmp_path, small_sine):
-        out_dir = _evaluate(tmp_path, small_sine, "out")
-        replot = tmp_path / "replot.csv"
-        code = run(
-            ["plot", "--kind", "forecast_overlay",
-             "--in", str(out_dir / "forecast_lstm_single.csv"), "--out", str(replot)]
-        )
-        assert code == 0
-        assert replot.read_bytes() == (out_dir / "forecast_lstm_single.csv").read_bytes()
 
 
 class TestEvaluate:
@@ -574,9 +599,9 @@ _VALID_INPUTS = {
     "sent.csv": b"timestamp,polarity,label\n30,0.5,Positive\n90,-0.25,Negative\n150,0.0,Neutral\n",
     "posts.csv": b'timestamp,source,text\n1,twitter,"btc is good"\n2,reddit,"bad day, sell"\n',
     "lexicon.csv": b"good,0.5\nbad,-0.5\n",
-    "forecast.csv": b"time,actual,predicted\n60,1.0,1.5\n120,2.0,1.75\n",
-    "loss.csv": b"epoch,loss\n0,0.5\n1,0.25\n",
-    "merged.csv": b"time,price,sentiment\n60,100.5,0.25\n120,,-0.5\n180,101.0,0.0\n",
+    "merged.csv": b"time,price,sentiment\n60,100.5,0.25\n120,,-0.5\n180,101.0,0.0\n240,99.5,0.5\n"
+                  b"300,100.25,-0.25\n360,102.0,0.0\n420,101.5,0.75\n480,100.0,-1.0\n540,101.25,0.0\n"
+                  b"600,102.5,0.25\n",
 }
 # (input to damage, argv with paths relative to the input directory)
 _FUZZ_CASES = [
@@ -586,9 +611,7 @@ _FUZZ_CASES = [
                   "--out", "out.csv"]),
     ("posts.csv", ["sentiment", "--posts", "posts.csv", "--lexicon", "lexicon.csv", "--out", "out.csv"]),
     ("lexicon.csv", ["sentiment", "--posts", "posts.csv", "--lexicon", "lexicon.csv", "--out", "out.csv"]),
-    ("forecast.csv", ["plot", "--kind", "forecast_overlay", "--in", "forecast.csv", "--out", "out.csv"]),
-    ("loss.csv", ["plot", "--kind", "train_loss", "--in", "loss.csv", "--out", "out.csv"]),
-    ("merged.csv", ["plot", "--kind", "normalized_series", "--in", "merged.csv", "--out", "out.csv"]),
+    ("merged.csv", ["train-arima", "--data", "merged.csv", "--order", "1,1,0", "--out-dir", "out"]),
 ]
 # bytes that break CSV structure, encoding or number syntax, and field
 # values at or past a boundary (empty, non-finite, overflowing, off range)
@@ -681,24 +704,35 @@ def _only_to(server):
     return mock.patch.object(urllib.request, "urlopen", guarded)
 
 
+def _run_on_inputs(argv, target=None, mutations=()):
+    """Run argv on _VALID_INPUTS written to a fresh directory, with target
+    damaged by mutations; input and output names resolve inside it.
+    Returns the exit code and the stderr lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, data in _VALID_INPUTS.items():
+            (root / name).write_bytes(_mutate(data, mutations) if name == target else data)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = run([str(root / a) if a in _VALID_INPUTS or a.startswith("out") else a for a in argv])
+    return code, err.getvalue().splitlines()
+
+
 class TestInputFuzz:
+    @pytest.mark.parametrize("target,argv", _FUZZ_CASES, ids=[target for target, _ in _FUZZ_CASES])
+    def test_undamaged_input_exits_0(self, target, argv):
+        assert _run_on_inputs(argv) == (0, [])
+
     @pytest.mark.parametrize("target,argv", _FUZZ_CASES, ids=[target for target, _ in _FUZZ_CASES])
     @settings(max_examples=30, deadline=None)
     @given(mutations=_MUTATIONS)
     def test_damaged_input_exits_0_or_1_with_one_line(self, target, argv, mutations):
         """A damaged input file is accepted (exit 0) or rejected with one
         error line (exit 1); no exception or warning escapes."""
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            for name, data in _VALID_INPUTS.items():
-                (root / name).write_bytes(_mutate(data, mutations) if name == target else data)
-            err = io.StringIO()
-            with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(err):
-                warnings.simplefilter("error")
-                code = run([str(root / a) if a.endswith(".csv") else a for a in argv])
+        code, lines = _run_on_inputs(argv, target, mutations)
         assert code in (0, 1)
-        lines = err.getvalue().splitlines()
         assert (lines == []) if code == 0 else (len(lines) == 1 and lines[0].startswith("error:")), lines
 
 

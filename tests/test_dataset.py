@@ -18,7 +18,6 @@ from btcforecast.dataset import (
     split,
     to_supervised,
     train_test_counts,
-    unscale,
     unscale_column,
 )
 from btcforecast.sentiment import SentimentRecord
@@ -114,8 +113,6 @@ class TestScaler:
         series = MergedSeries([1, 2], [5.0, 9.0], [0.1, 0.9])
         params = fit_scaler(series)
         with pytest.raises(ValueError):
-            unscale(np.zeros((4, 3)), params)
-        with pytest.raises(ValueError):
             unscale_column(np.zeros(4), params, "volume")
 
     @given(
@@ -138,7 +135,8 @@ class TestScaler:
         scaled = scale(series, params)
         cols = np.stack([scaled.price, scaled.sentiment], axis=1)
         assert np.all(cols >= 0.0) and np.all(cols <= 1.0)
-        back = unscale(cols, params)
+        back = np.stack([unscale_column(cols[:, i], params, name) for i, name in enumerate(params.columns)],
+                        axis=1)
         original = np.stack([series.price, series.sentiment], axis=1)
         span = params.maxs - params.mins
         nonconst = span > 0

@@ -12,7 +12,6 @@ from btcforecast.evaluation import (
     emit_plot_data,
     mse,
     naive_baseline,
-    read_forecast_csv,
     rmse,
 )
 from btcforecast.dataset import MergedSeries, fit_scaler, scale
@@ -142,13 +141,13 @@ class TestPlotData:
             reader = csv.DictReader(f)
             assert reader.fieldnames == ["time", "actual", "predicted"]
             rows = list(reader)
+        assert [int(r["time"]) for r in rows] == [10, 20]
+        assert [float(r["actual"]) for r in rows] == [1.5, 2.5]
         assert [float(r["predicted"]) for r in rows] == [1.25, 2.75]
-        back = read_forecast_csv(path)
-        assert np.array_equal(back.actual, rep.actual)
-        assert np.array_equal(back.predicted, rep.predicted)
 
     def test_train_loss_schema(self, tmp_path):
-        path = emit_plot_data("train_loss", [0.5, 0.25, 0.125], tmp_path / "l.csv")
+        rep = ForecastReport.create("m", [10, 20], [1.5, 2.5], [1.25, 2.75], losses=[0.5, 0.25, 0.125])
+        path = emit_plot_data("train_loss", rep, tmp_path / "l.csv")
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
             assert reader.fieldnames == ["epoch", "loss"]
@@ -168,3 +167,14 @@ class TestPlotData:
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot_data("pie_chart", None, tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("kind, inputs", [
+        ("train_loss", ForecastReport.create("naive", [10], [1.5], [1.25])),  # no loss curve
+        ("train_loss", [0.5, 0.25]),
+        ("forecast_overlay", MergedSeries([1], [5.0], [0.0])),
+        ("normalized_series", ForecastReport.create("m", [10], [1.5], [1.25])),
+    ])
+    def test_inputs_of_another_kind_are_rejected(self, tmp_path, kind, inputs):
+        with pytest.raises(ValueError, match=repr(kind)):
+            emit_plot_data(kind, inputs, tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()

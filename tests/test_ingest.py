@@ -552,12 +552,3 @@ class TestSourceConfig:
         }
         assert all(s.poll_interval > 0 for s in sources)
 
-
-def test_tweets_endpoint_serves_posts(replay_server):
-    import urllib.request
-
-    from btcforecast.ingest.replay import TWEETS_PATH
-
-    with urllib.request.urlopen(replay_server.base_url + TWEETS_PATH) as resp:
-        body = resp.read().decode("utf-8")
-    assert body.splitlines()[0] == '"timestamp","source","text"'

@@ -22,7 +22,6 @@ from btcforecast.sentiment import (
     remove_stopwords,
     score_polarity,
     tokenize,
-    write_posts,
 )
 
 
@@ -226,6 +225,19 @@ class TestLexicon:
         with pytest.raises(ValueError):
             Lexicon({"Word": 0.5})
 
+    @pytest.mark.parametrize("key", ["", "a b", "\ufeffgood", ":)", "-good", "good!"])
+    def test_rejects_key_that_no_post_yields_as_a_token(self, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            Lexicon({key: 0.5})
+
+    def test_from_file_rejects_a_byte_order_mark(self, tmp_path):
+        """Read as a key character, a BOM would make the first word never
+        score: "good good" would be Neutral."""
+        path = tmp_path / "lex.csv"
+        path.write_bytes(b"\xef\xbb\xbfgood,0.5\nbad,-0.5\n")
+        with pytest.raises(ValueError, match=re.escape("lex.csv:1: bad lexicon key " + repr("\ufeffgood"))):
+            Lexicon.from_file(path)
+
     def test_from_file_roundtrip(self, tmp_path):
         path = tmp_path / "lex.csv"
         path.write_text("alpha,0.5\nbeta,-0.25\n", encoding="utf-8")
@@ -239,10 +251,9 @@ def test_stopword_list_has_canonical_words():
 
 
 def test_posts_file_roundtrip(tmp_path):
-    posts = [
+    path = tmp_path / "posts.csv"
+    path.write_bytes(b'timestamp,source,text\n10,twitter,"btc says ""buy"""\n20,reddit,"plain text, with commas"\n')
+    assert read_posts(path) == [
         RawPost(10, 'btc says "buy"', "twitter"),
         RawPost(20, "plain text, with commas", "reddit"),
     ]
-    path = tmp_path / "posts.csv"
-    write_posts(path, posts)
-    assert read_posts(path) == posts

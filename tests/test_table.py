@@ -51,6 +51,7 @@ def _writers():
     records = [SentimentRecord(5, ("good",), 0.7, "Positive"), SentimentRecord(9, (), -1 / 3, "Negative")]
     report = ForecastReport.create("arima(1,1,1)", [60, 120], [1.5, 0.1], [1.25, 0.2], 0.5, 12.25)
     naive = ForecastReport.create("naive_last_value", [60, 120], [1.5, 0.1], [1.5, 1.5])
+    trained = ForecastReport.create("lstm_single", [60, 120], [1.5, 0.1], [1.25, 0.2], losses=[0.5, 1e-7, 2 / 3])
     table = compare([report, naive])
     merged = b"time,price,sentiment\n60,6500.5,0.1\n120,,-1.0\n180,0.3333333333333333,0.0\n"
     return [
@@ -59,7 +60,7 @@ def _writers():
          b"timestamp,polarity,label\n5,0.7,Positive\n9,-0.3333333333333333,Negative\n"),
         ("normalized_series", lambda p: emit_plot_data("normalized_series", series, p),
          merged.replace(b"120,,", b"120,nan,")),
-        ("train_loss", lambda p: emit_plot_data("train_loss", [0.5, 1e-7, 2 / 3], p),
+        ("train_loss", lambda p: emit_plot_data("train_loss", trained, p),
          b"epoch,loss\n0,0.5\n1,1e-07\n2,0.6666666666666666\n"),
         ("forecast_overlay", lambda p: emit_plot_data("forecast_overlay", report, p),
          b"time,actual,predicted\n60,1.5,1.25\n120,0.1,0.2\n"),
