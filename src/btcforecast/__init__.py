@@ -8,8 +8,9 @@ import sys
 
 # BLAS runs one thread unless the caller chose otherwise. At the sizes
 # used here its threads cost more than they save, they spin against the
-# worker thread of lstm.train, and their number changes the bits of a
-# matmul. The variables take effect only if set before numpy is loaded.
+# comparison's second process (cli.run_comparison), and their number
+# changes the bits of a matmul. The variables take effect only if set
+# before numpy is loaded.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _NUMPY_PRELOADED = "numpy" in sys.modules
 if not _NUMPY_PRELOADED:

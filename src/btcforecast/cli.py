@@ -6,6 +6,9 @@ Exit codes: 0 success, 1 module error (diagnostic on stderr),
 
 lstm_report, arima_report and run_comparison are the one path that builds
 forecast reports: train-lstm, train-arima, evaluate and demo 06 all use it.
+When two CPUs are free, run_comparison trains the multi-feature LSTM in a
+forked worker process while this process trains the single-feature one and
+runs ARIMA and the naive baseline; each LSTM trains on one thread.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import pickle
 import sys
 import threading
 import time
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import arima, evaluation, lstm, sentiment
+from . import BLAS_PINNED, arima, evaluation, lstm, sentiment
 from .dataset import (
     PRICE_AND_SENTIMENT,
     PRICE_ONLY,
@@ -170,8 +174,7 @@ def lstm_report(
     config = dataclasses.replace(config, n_features=len(ds.feature_names))
     # A large learning rate saturates the gates: exp overflows to inf and
     # the sigmoid reaches its exact limit 0. train stops on a non-finite
-    # loss or parameter; a forecast that overflows fails below. train's
-    # worker thread runs in a copy of this context, so the setting holds.
+    # loss or parameter; a forecast that overflows fails below.
     with np.errstate(over="ignore"):
         model, history = lstm.train(config, train_ds)
         predicted = lstm.predict_series(model, test_ds)
@@ -211,11 +214,94 @@ def run_comparison(
 ) -> list[evaluation.ForecastReport]:
     """The paper's comparison: single- and multi-feature LSTM, rolling ARIMA
     and the naive last-value baseline, each scored on one chronological
-    split."""
-    reports = [lstm_report(series, f, config, train_fraction) for f in (PRICE_ONLY, PRICE_AND_SENTIMENT)]
-    reports.append(arima_report(series, order, refit, train_fraction))
-    reports.append(evaluation.naive_baseline(series.time, series.price, train_fraction))
-    return reports
+    split. The multi-feature LSTM trains in a worker process when
+    _can_fork() holds; the reports are the same either way."""
+    with _in_worker(lstm_report, series, PRICE_AND_SENTIMENT, config, train_fraction) as lstm_multi:
+        single = lstm_report(series, PRICE_ONLY, config, train_fraction)
+        arima_forecast = arima_report(series, order, refit, train_fraction)
+        naive = evaluation.naive_baseline(series.time, series.price, train_fraction)
+        return [single, lstm_multi(), arima_forecast, naive]
+
+
+def _can_fork() -> bool:
+    """Whether a model may train in a forked worker: a second CPU is free,
+    BLAS runs one thread (a threaded BLAS in two processes oversubscribes
+    the cores) and this process runs no other thread (a fork copies only the
+    calling thread, so a lock another thread holds stays held in the child)."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and BLAS_PINNED
+        and threading.active_count() == 1
+    )
+
+
+@contextlib.contextmanager
+def _in_worker(fn, *args):
+    """Yield a function that returns fn(*args) or raises its exception.
+
+    When _can_fork() holds, fn runs in a forked worker process while the
+    with block runs, and its outcome comes back pickled through a pipe.
+    Otherwise fn runs when the yielded function is called. The worker is
+    reaped before the block exits; if the block exits before it asked for
+    the result (say, on an exception), the worker is killed first."""
+    if not _can_fork():
+        yield lambda: fn(*args)
+        return
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        _worker_main(write_fd, fn, args)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        # read to EOF before waiting: a payload larger than the pipe buffer
+        # keeps the worker blocked in its write until it is read
+        payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception:  # empty or cut short: the worker died first
+            code = os.waitstatus_to_exitcode(status)
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"worker process ended without a result ({how})") from None
+        if ok:
+            return value
+        raise value
+
+    with pipe:
+        try:
+            yield result
+        finally:
+            if not reaped:
+                import signal  # only on this path, so importing cli loads no more
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _worker_main(write_fd: int, fn, args) -> None:
+    """The forked worker: send (True, result) or (False, exception) to the
+    parent, then leave through os._exit, which runs no atexit handler and
+    does not flush the stdio buffers copied from the parent. It exits 1 if
+    the outcome could not be sent."""
+    code = 1
+    try:
+        try:
+            outcome = (True, fn(*args))
+        except BaseException as e:  # the parent re-raises it
+            outcome = (False, e)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _lstm_config(args) -> lstm.LstmConfig:
@@ -359,8 +445,8 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, RuntimeError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -21,28 +21,21 @@ c = i * g; its backward pass leaves out the forget gate and the h columns
 of dW. At lag 1 this step is the whole recurrence. Its f rows are still
 computed, so every cached gate is a valid activation.
 
-Each epoch splits the batch into two fixed halves. Each half has a
-workspace, allocated once per training, that forward and backward write in
-place, and the two halves run on up to two threads (worker_count). The main
-thread sums their |residual| totals and gradients, first half first, before
-the one Adam step. The split does not depend on the machine, and importing
+Each epoch runs forward and backward over the full batch on one thread,
+in a workspace allocated once per training and written in place. Importing
 btcforecast pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS default to 1; a value the caller set wins), so the bits
-of a run do not depend on the core count.
+of a run do not depend on the core count. cli.run_comparison trains its
+two LSTMs in two processes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import BLAS_PINNED
 from .dataset import SupervisedDataset, unscale_column
 
 PARAM_NAMES = ("W", "b", "Wd", "bd")
@@ -297,37 +290,8 @@ def adam_step(
     return new_params, AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
 
 
-def worker_count() -> int:
-    """Threads that train runs its two batch halves on: min(2, CPUs
-    available) when BLAS runs one thread, else 1, since the threads of a
-    multi-threaded BLAS spin against a second worker."""
-    if not BLAS_PINNED:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(2, cpus)
-
-
-def _half_epoch(model: LstmModel, ws: _Workspace, y: np.ndarray, n: int):
-    """Forward and backward over one batch half: its |residual| total and
-    its share of the full-batch MAE gradient. Backward is skipped when the
-    total is not finite, since training stops there."""
-    resid = _forward_batch(model, ws) - y
-    total = float(np.abs(resid).sum())
-    if not np.isfinite(total):
-        return total, None
-    # MAE subgradient: sign(residual), 0 at an exact zero residual.
-    return total, _backward_batch(model, ws, np.sign(resid) / n)
-
-
 def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, TrainHistory]:
-    """Full-batch MAE training: one Adam step per epoch, deterministic per seed.
-
-    With two workers the second batch half runs on a worker thread in a
-    copy of the caller's context, so the caller's numpy errstate holds
-    there too."""
+    """Full-batch MAE training: one Adam step per epoch, deterministic per seed."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     if dataset.inputs.shape[2] != config.n_features:
@@ -344,33 +308,21 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
     X = np.asarray(dataset.inputs, dtype=np.float64)
     y = np.asarray(dataset.targets, dtype=np.float64)
     n = len(y)
-    halves = (slice(0, n // 2), slice(n // 2, n))
-    workspaces = [_Workspace(model, X[half]) for half in halves]
-    targets = [y[half] for half in halves]
+    ws = _Workspace(model, X)
     params = model.params()
     state = AdamState.for_params(params)
-    pool = ThreadPoolExecutor(max_workers=1) if worker_count() > 1 else None
-    with pool or contextlib.nullcontext():
-        for epoch in range(config.epochs):
-            t_epoch = time.perf_counter()
-            second = None
-            if pool is not None:
-                second = pool.submit(
-                    contextvars.copy_context().run, _half_epoch, model, workspaces[1], targets[1], n
-                )
-            total_a, grads_a = _half_epoch(model, workspaces[0], targets[0], n)
-            if second is None:
-                total_b, grads_b = _half_epoch(model, workspaces[1], targets[1], n)
-            else:
-                total_b, grads_b = second.result()
-            loss = (total_a + total_b) / n
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}")
-            grads = {name: grads_a[name] + grads_b[name] for name in PARAM_NAMES}
-            params, state = adam_step(params, grads, state, config.learning_rate)
-            model = model.with_params(params)
-            history.losses.append(loss)
-            history.epoch_times_ms.append((time.perf_counter() - t_epoch) * 1000.0)
+    for epoch in range(config.epochs):
+        t_epoch = time.perf_counter()
+        resid = _forward_batch(model, ws) - y
+        loss = float(np.abs(resid).sum()) / n
+        if not np.isfinite(loss):
+            raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}")
+        # MAE subgradient: sign(residual), 0 at an exact zero residual.
+        grads = _backward_batch(model, ws, np.sign(resid) / n)
+        params, state = adam_step(params, grads, state, config.learning_rate)
+        model = model.with_params(params)
+        history.losses.append(loss)
+        history.epoch_times_ms.append((time.perf_counter() - t_epoch) * 1000.0)
     if not all(np.isfinite(p).all() for p in params.values()):
         raise TrainingDiverged(f"non-finite parameters after epoch {config.epochs - 1}")
     return model, history

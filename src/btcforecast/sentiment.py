@@ -70,9 +70,10 @@ class Lexicon:
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load a lexicon from a file with one ``word,weight`` pair per line
-        (blank lines skipped). A bad line is a one-line ValueError naming the
-        file and the line."""
+        (blank lines skipped). A bad line, or a key given twice, is a
+        one-line ValueError naming the file and the line."""
         entries: dict[str, float] = {}
+        first_line: dict[str, int] = {}
         try:
             with open(path, encoding="utf-8") as f:
                 for lineno, line in enumerate(f, 1):
@@ -83,6 +84,9 @@ class Lexicon:
                     try:
                         if not comma:
                             raise ValueError("expected word,weight")
+                        if word in first_line:
+                            raise ValueError(f"repeated lexicon key {word!r} (first on line {first_line[word]})")
+                        first_line[word] = lineno
                         entries[word] = float(weight)
                         _check_entry(word, entries[word])
                     except ValueError as e:

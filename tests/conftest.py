@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,18 @@ def pytest_collection_modifyitems(items):
         if TESTS_DIR in item.path.parents:
             for spec in _LEAK_FILTERS:
                 item.add_marker(pytest.mark.filterwarnings(spec))
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    """A test that leaves a child process behind, running or unreaped, fails."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = f"pid {pid}, now reaped" if pid else "still running"
+    pytest.fail(f"the test left a child process behind ({state})")
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,12 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import urllib.error
 import urllib.request
 import warnings
@@ -22,10 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcforecast import BLAS_THREAD_VARS, cli
+from btcforecast import BLAS_THREAD_VARS, arima, cli, lstm
 from btcforecast.arima import ArimaOrder
 from btcforecast.cli import build_parser, run, run_comparison
-from btcforecast.dataset import MergedSeries, fill_missing
+from btcforecast.dataset import PRICE_AND_SENTIMENT, PRICE_ONLY, MergedSeries, fill_missing
 from btcforecast.lstm import LstmConfig
 from btcforecast.synthetic import sine_series
 
@@ -337,6 +340,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("line, where", [
         (b"bad", "lex.csv:2:"), (b"bad,x", "lex.csv:2:"), (b",0.5", "lex.csv:2:"), (b"Bad,0.5", "lex.csv:2:"),
         (b"bad,1.5", "lex.csv:2:"), (b"bad,nan", "lex.csv:2:"), (b"b\xffd,-0.5", "lex.csv: 'utf-8'"),
+        # a repeated key once kept its last weight: "good good" scored Negative
+        (b"good,-0.5", "lex.csv:2: repeated lexicon key 'good' (first on line 1)"),
     ])
     def test_bad_lexicon_line_names_file_and_line(self, tmp_path, fixtures_dir, line, where, capfd):
         lexicon = tmp_path / "lex.csv"
@@ -502,14 +507,203 @@ class TestOnePath:
                             ("arima(10,1,0)", "121.080060"), ("lstm_single", "176.692302")):
             assert re.search(rf"^{re.escape(model)} +{rmse} ", proc.stdout, re.M), model
         assert "cuts test RMSE by 61%" in proc.stdout
+        # the demo prints this line before the worker forks, into a pipe's
+        # buffer; the worker must not flush its copy of that buffer
+        assert proc.stdout.count("sentiment leaks the sign") == 1
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+needs_two_cpus = pytest.mark.skipif(not hasattr(os, "fork") or _cpus() < 2, reason="needs fork and two CPUs")
+
+
+def _comparison(small_sine) -> list:
+    series = fill_missing(MergedSeries.from_csv(small_sine))
+    return run_comparison(series, LstmConfig(hidden_size=6, lag=2, epochs=8, seed=7), ArimaOrder(4, 1, 0))
+
+
+def _in_the_worker(monkeypatch, act) -> None:
+    """Patch lstm.train to call act() first when it runs in a process other
+    than this one, as the comparison's worker does."""
+    parent, original = os.getpid(), lstm.train
+
+    def train(config, dataset):
+        if os.getpid() != parent:
+            act()
+        return original(config, dataset)
+
+    monkeypatch.setattr(lstm, "train", train)
+
+
+@pytest.fixture()
+def report_pids(monkeypatch, tmp_path):
+    """Patch cli.lstm_report to log the pid of the process that runs it, per
+    feature mode. Returns a function that reads and clears the log."""
+    log = tmp_path / "pids.txt"
+    log.touch()
+    original = cli.lstm_report
+
+    def logged(series, features, *args):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{features} {os.getpid()}\n")
+        return original(series, features, *args)
+
+    def read() -> dict[str, int]:
+        pids = {features: int(pid) for features, pid in map(str.split, log.read_text("utf-8").splitlines())}
+        log.write_text("", encoding="utf-8")
+        return pids
+
+    monkeypatch.setattr(cli, "lstm_report", logged)
+    return read
+
+
+@pytest.fixture()
+def a_live_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    yield
+    stop.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestComparisonWorker:
+    """run_comparison trains the multi-feature LSTM in a forked worker
+    process when two CPUs are free, and in sequence otherwise."""
+
+    @needs_two_cpus
+    def test_the_multi_feature_lstm_trains_in_another_process(self, small_sine, report_pids):
+        assert cli._can_fork()
+        _comparison(small_sine)
+        pids = report_pids()
+        assert pids[PRICE_ONLY] == os.getpid() != pids[PRICE_AND_SENTIMENT]
+
+    @pytest.mark.parametrize("condition", ["one_cpu", "a_live_thread", "blas_not_pinned"])
+    def test_otherwise_the_same_reports_are_computed_in_sequence(
+        self, small_sine, report_pids, monkeypatch, request, condition
+    ):
+        forked = _comparison(small_sine)
+        report_pids()
+        if condition == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif condition == "blas_not_pinned":
+            monkeypatch.setattr(cli, "BLAS_PINNED", False)
+        else:
+            request.getfixturevalue(condition)
+        assert not cli._can_fork()
+        in_sequence = _comparison(small_sine)
+        assert set(report_pids().values()) == {os.getpid()}
+        assert [r.model_name for r in forked] == [r.model_name for r in in_sequence]
+        for a, b in zip(forked, in_sequence):
+            for name in ("times", "actual", "predicted"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.model_name, name)
+            assert (repr(a.mse), a.losses) == (repr(b.mse), b.losses), a.model_name
+
+    @needs_two_cpus
+    def test_a_worker_error_keeps_its_type_and_exits_1_with_one_line(self, monkeypatch, small_sine, tmp_path,
+                                                                      capfd):
+        def diverge():
+            raise lstm.TrainingDiverged("non-finite loss in the worker")
+
+        _in_the_worker(monkeypatch, diverge)
+        with pytest.raises(lstm.TrainingDiverged, match="in the worker"):
+            _comparison(small_sine)
+        code = run(["evaluate", "--data", str(small_sine), "--out-dir", str(tmp_path / "out"), *FAST_LSTM])
+        _assert_one_line_error(capfd, code, "error: non-finite loss in the worker")
+
+    @needs_two_cpus
+    def test_a_killed_worker_exits_1_with_one_line(self, monkeypatch, small_sine, tmp_path, capfd):
+        assert cli._can_fork()  # else the kill below would hit this process
+        _in_the_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        code = run(["evaluate", "--data", str(small_sine), "--out-dir", str(tmp_path / "out"), *FAST_LSTM])
+        _assert_one_line_error(capfd, code, f"without a result (killed by signal {int(signal.SIGKILL)})")
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("error", [arima.ArimaFitError("no fit"), KeyboardInterrupt()])
+    def test_an_error_in_the_parent_kills_and_reaps_the_worker(self, monkeypatch, small_sine, tmp_path, capfd,
+                                                                 error):
+        _in_the_worker(monkeypatch, lambda: time.sleep(60))
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(arima, "rolling_forecast", fail)
+        argv = ["evaluate", "--data", str(small_sine), "--out-dir", str(tmp_path / "out"), *FAST_LSTM]
+        t0 = time.monotonic()
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                run(argv)
+        else:
+            _assert_one_line_error(capfd, run(argv), "error: no fit")
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_the_worker_keeps_the_errstate(self, small_sine, tmp_path, capfd):
+        # a learning rate of 1e30 saturates the gates: exp overflows, which
+        # lstm_report silences in whichever process trains
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["evaluate", "--data", str(small_sine), "--out-dir", str(tmp_path / "out"),
+                        "--learning-rate", "1e30", *FAST_LSTM])
+        assert code == 0
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["train-lstm", "evaluate"])
+    def test_an_allocation_too_large_exits_1_with_one_line(self, monkeypatch, small_sine, tmp_path, capfd,
+                                                           command):
+        # in evaluate the multi-feature model trains in the worker
+        original = lstm.init
+
+        def init(config):
+            if config.n_features == 2:
+                raise MemoryError()
+            return original(config)
+
+        monkeypatch.setattr(lstm, "init", init)
+        argv = [command, "--data", str(small_sine), "--out-dir", str(tmp_path / "out"), *FAST_LSTM]
+        if command == "train-lstm":
+            argv += ["--features", PRICE_AND_SENTIMENT]
+        _assert_one_line_error(capfd, run(argv), "error: MemoryError")
+
+
+class TestForkDecision:
+    """The comparison forks only where btcforecast could pin BLAS to one
+    thread: imported before numpy, with no other count set."""
+
+    @staticmethod
+    def _can_fork(before: str, **env) -> bool:
+        child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        child_env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"),
+                                                   *filter(None, [os.environ.get("PYTHONPATH")])])
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{before}import btcforecast.cli as m; print(m._can_fork())"],
+            env={**child_env, **env}, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return {"True\n": True, "False\n": False}[proc.stdout]
+
+    def test_btcforecast_imported_first_forks_with_two_cpus(self):
+        assert self._can_fork("") == (hasattr(os, "fork") and _cpus() >= 2)
+
+    def test_numpy_imported_first_does_not_fork(self):
+        assert not self._can_fork("import numpy; ")
+
+    def test_a_blas_thread_count_set_by_the_caller_does_not_fork(self):
+        assert not self._can_fork("", OPENBLAS_NUM_THREADS="2")
 
 
 def _run_demo(name: str) -> subprocess.CompletedProcess:
     pythonpath = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    # without PYTHONUNBUFFERED, stdout to the pipe is block-buffered, as it is
+    # when a user pipes a demo's output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, str(REPO_ROOT / "demos" / f"{name}.py")],
         capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+        env=dict(env, PYTHONPATH=os.pathsep.join(pythonpath)),
     )
 
 
@@ -806,8 +1000,8 @@ class TestModelFlagFuzz:
     def test_model_flags_exit_0_or_1_with_one_line(self, command, data):
         """Any numeric value of a model flag trains and scores (exit 0,
         silent stderr, every forecast finite) or is rejected with one error
-        line (exit 1), also when the error is raised on a training worker
-        thread."""
+        line (exit 1), also when the error is raised in the comparison's
+        worker process."""
         argv = data.draw(_model_argv(command))
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
