@@ -254,11 +254,14 @@ class TestTrain:
             assert np.array_equal(getattr(m1, name), getattr(m2, name))
         assert h1.losses == h2.losses
 
-    def test_single_sample_trains(self):
-        ds = _sine_dataset()
+    @pytest.mark.parametrize("n_features", [1, 2])
+    def test_single_sample_trains(self, n_features):
+        features = PRICE_ONLY if n_features == 1 else PRICE_AND_SENTIMENT
+        ds = _sine_dataset(features=features)
         one = dataclasses.replace(ds, inputs=ds.inputs[:1], targets=ds.targets[:1],
                                   target_times=ds.target_times[:1])
-        _, history = train(LstmConfig(hidden_size=4, lag=4, epochs=3, seed=0), one)
+        cfg = LstmConfig(n_features=n_features, hidden_size=4, lag=4, epochs=3, seed=0)
+        _, history = train(cfg, one)
         assert len(history.losses) == 3 and all(np.isfinite(history.losses))
 
     def test_feature_mismatch_rejected(self):
