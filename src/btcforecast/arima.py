@@ -29,6 +29,8 @@ REFIT_ALWAYS = "always"
 REFIT_ONCE = "once"
 
 _GN_MAX_ITER = 200
+# Gauss-Newton stops once a step gains at most this fraction of the SSE: a
+# relative rule, so rescaling the prices does not move where it stops
 _GN_TOL = 1e-10
 # a rolling AR refit whose equilibrated Gram matrix has a smaller eigenvalue
 # ratio is left to lstsq in fit (see _rolling_ar_forecasts)
@@ -78,17 +80,11 @@ class ArimaModel:
 
     def ar_root_moduli(self) -> np.ndarray:
         """Moduli of the AR characteristic roots (stationary iff all > 1)."""
-        if self.order.p == 0:
-            return np.array([])
-        poly = np.concatenate([[1.0], -self.ar_coeffs])
-        return np.sort(np.abs(np.roots(poly[::-1])))
+        return _root_moduli(-self.ar_coeffs)
 
     def ma_root_moduli(self) -> np.ndarray:
         """Moduli of the MA characteristic roots (invertible iff all > 1)."""
-        if self.order.q == 0:
-            return np.array([])
-        poly = np.concatenate([[1.0], self.ma_coeffs])
-        return np.sort(np.abs(np.roots(poly[::-1])))
+        return _root_moduli(self.ma_coeffs)
 
     def summary(self) -> str:
         lines = [
@@ -135,51 +131,18 @@ class ArimaModel:
         )
 
 
-def _difference_levels(
-    series: np.ndarray, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Difference d times in one pass over the levels. Returns the d-th
-    difference, the first value of each level 0..d-1 (the seeds undifference
-    needs) and the last value of each level (the tails forecasting needs)."""
-    series = np.asarray(series, dtype=np.float64)
-    if len(series) <= d:
-        raise ValueError(f"series of length {len(series)} too short for d={d}")
-    seeds, tails = [], []
+def _root_moduli(coeffs: np.ndarray) -> np.ndarray:
+    """Sorted moduli of the roots of 1 + coeffs[0] z + coeffs[1] z^2 + ..."""
+    poly = np.concatenate([[1.0], coeffs])
+    return np.sort(np.abs(np.roots(poly[::-1])))
+
+
+def _difference_levels(series: np.ndarray, d: int) -> list[np.ndarray]:
+    """[series, its first difference, ..., its d-th difference]."""
+    levels = [series]
     for _ in range(d):
-        seeds.append(series[0])
-        tails.append(series[-1])
-        series = np.diff(series)
-    return series, np.array(seeds), np.array(tails)
-
-
-def difference_with_seeds(series: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Difference d times, also returning the d seed values (the first element
-    of each intermediate level) that undifference needs."""
-    w, seeds, _ = _difference_levels(series, d)
-    return w, seeds
-
-
-def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Kahan running sums: keeps iterated integration error at ~eps instead
-    of letting it accumulate with series length."""
-    out = np.empty(len(values))
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        y = float(v) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[i] = total
-    return out
-
-
-def undifference(diffs: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Exact inverse of difference_with_seeds."""
-    x = np.asarray(diffs, dtype=np.float64)
-    for seed in np.asarray(seeds, dtype=np.float64)[::-1]:
-        x = np.concatenate([[seed], seed + _compensated_cumsum(x)])
-    return x
+        levels.append(np.diff(levels[-1]))
+    return levels
 
 
 def _lag_matrix(w: np.ndarray, p: int, include_intercept: bool) -> np.ndarray:
@@ -256,7 +219,8 @@ def fit(series: np.ndarray, order: ArimaOrder, include_intercept: bool = True) -
     if len(series) <= d + p + q + 1:
         raise ValueError(f"series of length {len(series)} too short for order {order}")
 
-    w, _, level_tails = _difference_levels(series, d)
+    levels = _difference_levels(series, d)
+    w = levels[d]
     c, ar, resid = _fit_ar_ols(w, p, include_intercept)
     ma = np.zeros(q)
 
@@ -277,7 +241,7 @@ def fit(series: np.ndarray, order: ArimaOrder, include_intercept: bool = True) -
         sigma2=sigma2,
         diff_tail=w[-keep:].copy(),
         resid_tail=resid[-q:].copy() if q else np.array([]),
-        level_tails=level_tails,
+        level_tails=np.array([level[-1] for level in levels[:d]]),
     )
 
 
@@ -310,7 +274,7 @@ def _fit_css_gauss_newton(
                 return beta, eps
             improved = sse - sse_new
             beta, eps, sse = trial, eps_new, sse_new
-            if improved <= _GN_TOL * max(sse, 1.0):
+            if improved <= _GN_TOL * sse:
                 return beta, eps
             _, jac = _css(y, X, beta, jacobian=True)
     raise ArimaFitError(f"no convergence after {_GN_MAX_ITER} iterations; last objective {sse:.6g}")
@@ -397,9 +361,7 @@ def _rolling_ar_forecasts(
     fit warns about, and non-finite values) go through fit_prefix.
     Forecasts are summed in _one_step_diff / forecast_one order."""
     p, d = order.p, order.d
-    levels = [series]  # levels[j] is the j-th difference
-    for _ in range(d):
-        levels.append(np.diff(levels[-1]))
+    levels = _difference_levels(series, d)
     w = levels[d]
     X, y = _lag_matrix(w, p, include_intercept), w[p:]
     ends = np.arange(first + 1, len(series))

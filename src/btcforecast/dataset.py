@@ -120,8 +120,8 @@ class SupervisedDataset:
 def merge(prices, sentiments, bucket: int) -> MergedSeries:
     """Combine a price stream and scored posts into one three-column series.
 
-    prices: ordered (time, price) pairs; sentiments: ordered SentimentRecord
-    objects or (time, polarity) pairs; bucket: bucket width in seconds.
+    prices: ordered (time, price) pairs; sentiments: ordered (time,
+    polarity) pairs; bucket: bucket width in seconds.
     """
     prices = list(prices)
     if not prices:
@@ -143,8 +143,7 @@ def merge(prices, sentiments, bucket: int) -> MergedSeries:
     s_sum: dict[int, float] = {}
     s_count: dict[int, int] = {}
     prev_t = None
-    for rec in sentiments:
-        t, pol = (rec.timestamp, rec.polarity) if hasattr(rec, "timestamp") else rec
+    for t, pol in sentiments:
         if prev_t is not None and t < prev_t:
             raise ValueError("sentiment input must be time-ordered")
         prev_t = t

@@ -5,7 +5,6 @@ log; concurrent readers see a consistent prefix."""
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 
 from ..table import int64_field, read_table
@@ -30,23 +29,23 @@ class RecordLog:
         self._converters = {column: _CONVERTERS[kind] for _, column, kind in fields}
         self._time_column = next(column for _, column, kind in fields if kind == TIME)
         self._last_timestamp: int | None = None
-        if self.path.exists() and self.path.stat().st_size > 0:
+        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        if not fresh:
             # every field of every row is parsed, as read() does, but only
             # the last ordering key is kept
             key = self.columns.index(self._time_column)
             for _, values in self._rows():
                 self._last_timestamp = values[key]
-            self._handle = open(self.path, "a", encoding="utf-8", newline="")
-        else:
-            self._handle = open(self.path, "w", encoding="utf-8", newline="")
+        self._handle = open(self.path, "w" if fresh else "a", encoding="utf-8", newline="")
+        self._writer = csv.writer(self._handle, lineterminator="\n")
+        if fresh:
             self._write_row(list(self.columns))
 
     def _write_row(self, row: list[str]) -> None:
         # not table.write_table: a log is appended to and flushed one record
-        # at a time, so that a crash leaves at most one partial line
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(row)
-        self._handle.write(buf.getvalue())
+        # at a time, so that a crash leaves at most one partial line (the
+        # writer passes each row to the handle in one write call)
+        self._writer.writerow(row)
         self._handle.flush()
 
     def append(self, record: dict) -> None:

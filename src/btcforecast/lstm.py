@@ -22,11 +22,12 @@ of dW. At lag 1 this step is the whole recurrence. Its f rows are still
 computed, so every cached gate is a valid activation.
 
 Each epoch runs forward and backward over the full batch on one thread,
-in a workspace allocated once per training and written in place. Importing
-btcforecast pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS default to 1; a value the caller set wins), so the bits
-of a run do not depend on the core count. cli.run_comparison trains its
-two LSTMs in two processes.
+in a workspace allocated once per training and written in place; Adam
+updates the model's arrays in place too. Importing btcforecast pins BLAS to
+one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
+default to 1; a value the caller set wins), so the bits of a run do not
+depend on the core count. cli.run_comparison trains its two LSTMs in two
+processes.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import numpy as np
 from .dataset import SupervisedDataset, unscale_column
 
 PARAM_NAMES = ("W", "b", "Wd", "bd")
+# Adam's moment decay rates and the floor of its denominator
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -80,14 +83,6 @@ class LstmModel:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
 
-    def with_params(self, params: dict[str, np.ndarray]) -> "LstmModel":
-        return LstmModel(
-            **params,
-            n_features=self.n_features,
-            hidden_size=self.hidden_size,
-            lag=self.lag,
-        )
-
 
 @dataclass
 class AdamState:
@@ -96,9 +91,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
@@ -272,22 +264,23 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns new params and state."""
-    t = state.t + 1
-    new_params, new_m, new_v = {}, {}, {}
+) -> None:
+    """One bias-corrected Adam update of params, state.m, state.v and
+    state.t, in place. Every gradient's shape is checked before any array
+    changes."""
     for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+        if grads[name].shape != p.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[name] = m
-        new_v[name] = v
-    return new_params, AdamState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
+    state.t += 1
+    for name, p in params.items():
+        g, m, v = grads[name], state.m[name], state.v[name]
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**state.t)
+        v_hat = v / (1.0 - _BETA2**state.t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, TrainHistory]:
@@ -319,8 +312,7 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
             raise TrainingDiverged(f"non-finite loss {loss} at epoch {epoch}")
         # MAE subgradient: sign(residual), 0 at an exact zero residual.
         grads = _backward_batch(model, ws, np.sign(resid) / n)
-        params, state = adam_step(params, grads, state, config.learning_rate)
-        model = model.with_params(params)
+        adam_step(params, grads, state, config.learning_rate)
         history.losses.append(loss)
         history.epoch_times_ms.append((time.perf_counter() - t_epoch) * 1000.0)
     if not all(np.isfinite(p).all() for p in params.values()):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from operator import itemgetter
 from pathlib import Path
@@ -111,20 +112,11 @@ def _check_entry(word: str, weight: float) -> None:
         raise ValueError(f"lexicon weight out of range for {word!r}: {weight}")
 
 
+@cache
 def load_stopwords() -> frozenset[str]:
     """The bundled English stopword list (includes a, is, the, with)."""
     text = resources.files("btcforecast.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w for w in text.split() if w)
-
-
-_BUNDLED_STOPWORDS: frozenset[str] | None = None
-
-
-def _stopwords() -> frozenset[str]:
-    global _BUNDLED_STOPWORDS
-    if _BUNDLED_STOPWORDS is None:
-        _BUNDLED_STOPWORDS = load_stopwords()
-    return _BUNDLED_STOPWORDS
 
 
 def normalize_text(text: str) -> str:
@@ -154,10 +146,9 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def remove_stopwords(tokens: list[str], stopwords: frozenset[str] | None = None) -> list[str]:
-    """Drop tokens found in the stopword list, preserving order."""
-    if stopwords is None:
-        stopwords = _stopwords()
+def remove_stopwords(tokens: list[str]) -> list[str]:
+    """Drop tokens found in the bundled stopword list, preserving order."""
+    stopwords = load_stopwords()
     return [t for t in tokens if t not in stopwords]
 
 
@@ -184,13 +175,10 @@ def classify(polarity: float) -> str:
     return NEUTRAL
 
 
-def process_post(
-    post: RawPost,
-    lexicon: Lexicon,
-    stopwords: frozenset[str] | None = None,
-) -> SentimentRecord:
-    """Run the full pipeline on one post, preserving its timestamp."""
-    tokens = remove_stopwords(tokenize(normalize_text(post.text)), stopwords)
+def process_post(post: RawPost, lexicon: Lexicon) -> SentimentRecord:
+    """Run the full pipeline on one post (the bundled stopword list, the
+    given lexicon), preserving its timestamp."""
+    tokens = remove_stopwords(tokenize(normalize_text(post.text)))
     polarity = score_polarity(tokens, lexicon)
     return SentimentRecord(
         timestamp=post.timestamp,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from btcforecast import arima, evaluation, lstm
-from btcforecast.arima import ArimaOrder, difference_with_seeds, rolling_forecast, undifference
+from btcforecast.arima import ArimaOrder, rolling_forecast
 from btcforecast.cli import run
 from btcforecast.dataset import (
     PRICE_AND_SENTIMENT,
@@ -29,6 +29,7 @@ from btcforecast.dataset import (
 from btcforecast.lstm import LstmConfig, init, train
 from btcforecast.sentiment import classify, normalize_text
 from btcforecast.synthetic import ar_process, random_walk, signal_sentiment_series
+from differencing import difference_with_seeds, undifference
 from gradcheck import backward, fd_gradients, forward, max_rel_err
 
 FIXTURE_SINE = Path(__file__).resolve().parent.parent / "fixtures" / "sine.csv"

@@ -11,16 +11,15 @@ from btcforecast.arima import (
     ArimaOrder,
     _css,
     _lag_matrix,
-    difference_with_seeds,
     fit,
     forecast_one,
     rolling_forecast,
-    undifference,
 )
 from btcforecast.dataset import train_test_counts
 from btcforecast.evaluation import naive_baseline, rmse
 from btcforecast.synthetic import ar_process, random_walk, sine_series
 from css_reference import reference_css
+from differencing import difference_with_seeds, undifference
 
 
 class TestOrder:

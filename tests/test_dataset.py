@@ -20,11 +20,11 @@ from btcforecast.dataset import (
     train_test_counts,
     unscale_column,
 )
-from btcforecast.sentiment import SentimentRecord
 
 
 def _record(t, polarity):
-    return SentimentRecord(timestamp=t, tokens=(), polarity=polarity, label="Neutral")
+    """One scored post as merge takes it."""
+    return (t, polarity)
 
 
 class TestMerge:

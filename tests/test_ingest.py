@@ -351,6 +351,25 @@ class TestRecordLog:
             log.append(self._tick(bitstamp_payload, 200))
             assert [r["timestamp"] for r in log.read()] == [100, 160, 200]
 
+    def test_exact_bytes_across_a_reopen(self, tmp_path):
+        # a text field with a comma and quotes is quoted with its quotes
+        # doubled, an empty one is written as nothing, non-ASCII as UTF-8
+        path = tmp_path / "ticks.csv"
+        prices = {"high": 2.5, "last": 2.25, "bid": 2.0, "vwap": 2.125, "volume": 0.1,
+                  "low": 1.5, "ask": 2.375, "open": 1.75}
+        with RecordLog(path, BITSTAMP_TICKER) as log:
+            for ts, text in ((100, 'a,"b"'), (160, ""), (220, "Bitcöin → 日本")):
+                log.append(prices | {"timestamp": ts, "datetime": text})
+        with RecordLog(path, BITSTAMP_TICKER) as log:
+            log.append(prices | {"timestamp": 280, "volume": 1e-05, "datetime": "2018-04-03 10:00"})
+        assert path.read_bytes() == (
+            b"high,last,timestamp,bid,vwap,volume,low,ask,open,datetime\n"
+            b'2.5,2.25,100,2.0,2.125,0.1,1.5,2.375,1.75,"a,""b"""\n'
+            b"2.5,2.25,160,2.0,2.125,0.1,1.5,2.375,1.75,\n"
+            b"2.5,2.25,220,2.0,2.125,0.1,1.5,2.375,1.75,Bitc\xc3\xb6in \xe2\x86\x92 \xe6\x97\xa5\xe6\x9c\xac\n"
+            b"2.5,2.25,280,2.0,2.125,1e-05,1.5,2.375,1.75,2018-04-03 10:00\n"
+        )
+
     def test_snapshot_log(self, tmp_path, fixtures_dir):
         payload = json.loads((fixtures_dir / "blockchain_quotes" / "000.json").read_text())
         snap = parse_payload(BLOCKCHAIN_QUOTES, payload)

@@ -30,7 +30,7 @@ from gradcheck import backward, fd_gradients, forward, max_rel_err
 
 def _zero_model(hidden=3, features=1, lag=2):
     model = init(LstmConfig(n_features=features, hidden_size=hidden, lag=lag, seed=0))
-    return model.with_params({k: np.zeros_like(v) for k, v in model.params().items()})
+    return dataclasses.replace(model, **{k: np.zeros_like(v) for k, v in model.params().items()})
 
 
 def _gate_blocks(model: LstmModel):
@@ -194,28 +194,77 @@ class TestBackward:
         assert np.allclose(grads["Wd"], h[None, :], rtol=1e-12, atol=1e-15)
 
 
+def _out_of_place_adam(params, grads, m, v, t, lr):
+    """The bias-corrected Adam update written out of place, with new arrays
+    for the params and both moments: the reference for adam_step."""
+    t += 1
+    new_params, new_m, new_v = {}, {}, {}
+    for name, p in params.items():
+        g = grads[name]
+        m_new = 0.9 * m[name] + (1.0 - 0.9) * g
+        v_new = 0.999 * v[name] + (1.0 - 0.999) * g * g
+        m_hat = m_new / (1.0 - 0.9**t)
+        v_hat = v_new / (1.0 - 0.999**t)
+        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        new_m[name] = m_new
+        new_v[name] = v_new
+    return new_params, new_m, new_v, t
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
         state = AdamState.for_params(params)
-        new, state2 = adam_step(params, {"w": np.zeros(2)}, state, lr=0.01)
-        assert np.array_equal(new["w"], params["w"])
-        assert state2.t == 1
+        assert adam_step(params, {"w": np.zeros(2)}, state, lr=0.01) is None
+        assert np.array_equal(params["w"], [1.0, -2.0])
+        assert state.t == 1
 
     def test_first_step_closed_form(self):
         # m_hat = g, v_hat = g^2, so the first update is lr * g/|g| up to eps
         params = {"w": np.array([1.0])}
-        state = AdamState.for_params(params)
-        new, _ = adam_step(params, {"w": np.array([0.5])}, state, lr=0.01)
-        assert new["w"][0] == pytest.approx(0.99, abs=1e-7)
+        adam_step(params, {"w": np.array([0.5])}, AdamState.for_params(params), lr=0.01)
+        assert params["w"][0] == pytest.approx(0.99, abs=1e-7)
 
     def test_deterministic(self):
-        params = {"w": np.array([0.3, 0.7])}
         grads = {"w": np.array([0.1, -0.2])}
-        a1, s1 = adam_step(params, grads, AdamState.for_params(params), lr=0.05)
-        a2, s2 = adam_step(params, grads, AdamState.for_params(params), lr=0.05)
-        assert np.array_equal(a1["w"], a2["w"])
+        p1, p2 = {"w": np.array([0.3, 0.7])}, {"w": np.array([0.3, 0.7])}
+        s1, s2 = AdamState.for_params(p1), AdamState.for_params(p2)
+        adam_step(p1, grads, s1, lr=0.05)
+        adam_step(p2, grads, s2, lr=0.05)
+        assert np.array_equal(p1["w"], p2["w"])
         assert np.array_equal(s1.m["w"], s2.m["w"]) and np.array_equal(s1.v["w"], s2.v["w"])
+
+    def test_in_place_update_matches_the_out_of_place_one_bit_for_bit(self):
+        model = init(LstmConfig(n_features=2, hidden_size=5, lag=3, seed=4))
+        params = model.params()
+        state = AdamState.for_params(params)
+        ref = {k: v.copy() for k, v in params.items()}
+        zero = AdamState.for_params(ref)
+        ref_m, ref_v, ref_t = zero.m, zero.v, 0
+        rng = np.random.default_rng(9)
+        for _ in range(4):
+            grads = {k: rng.normal(0.0, 0.3, v.shape) for k, v in params.items()}
+            ref, ref_m, ref_v, ref_t = _out_of_place_adam(ref, grads, ref_m, ref_v, ref_t, 0.02)
+            adam_step(params, grads, state, 0.02)
+        assert state.t == ref_t == 4
+        for name in lstm.PARAM_NAMES:
+            assert params[name] is getattr(model, name)
+            assert np.array_equal(params[name], ref[name])
+            assert np.array_equal(state.m[name], ref_m[name])
+            assert np.array_equal(state.v[name], ref_v[name])
+
+    def test_wrong_gradient_shape_changes_nothing(self):
+        model = init(LstmConfig(hidden_size=4, lag=2, seed=0))
+        params = model.params()
+        state = AdamState.for_params(params)
+        before = {k: v.copy() for k, v in params.items()}
+        grads = {k: np.ones_like(v) for k, v in params.items()} | {"bd": np.ones(2)}
+        with pytest.raises(ValueError, match="bd"):
+            adam_step(params, grads, state, lr=0.01)
+        assert state.t == 0
+        for name in lstm.PARAM_NAMES:
+            assert np.array_equal(params[name], before[name])
+            assert not state.m[name].any() and not state.v[name].any()
 
 
 def _sine_dataset(lag=4, features=PRICE_ONLY, n=160):
@@ -282,8 +331,8 @@ class TestTrain:
         # no loss is computed after the last Adam step, so its parameters are
         # checked themselves
         def overflowing_step(params, grads, state, lr):
-            params, state = adam_step(params, grads, state, lr)
-            return {**params, "bd": np.full(1, np.inf)}, state
+            adam_step(params, grads, state, lr)
+            params["bd"][:] = np.inf
 
         monkeypatch.setattr(lstm, "adam_step", overflowing_step)
         with pytest.raises(TrainingDiverged, match="after epoch 0"):

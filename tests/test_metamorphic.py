@@ -103,14 +103,7 @@ def arima111_forecast():
     return arima.rolling_forecast(_arima111_draw(), ArimaOrder(1, 1, 1))
 
 
-@pytest.mark.parametrize("a, b", [
-    pytest.param(a, b, marks=pytest.mark.xfail(
-        strict=True,
-        reason="Gauss-Newton stopping rule improved <= _GN_TOL * max(sse, 1.0) is absolute once "
-               "the SSE is below 1, so at a = 1e-4 the CSS fit stops early (forecasts off by ~1e-7)",
-    )) if a < 1.0 else (a, b)
-    for a in SCALES for b in SHIFTS
-])
+@_MAPS
 def test_rolling_arima111_forecast_maps(arima111_forecast, a, b):
     mapped = arima.rolling_forecast(a * _arima111_draw() + b, ArimaOrder(1, 1, 1))
     _assert_maps(mapped, arima111_forecast, a, b)
