@@ -146,14 +146,26 @@ def _load_series(args) -> MergedSeries:
 
 def _read_price_stream(path: Path) -> list[tuple[int, float]]:
     """Accept either an ingest record log (timestamp,last) or a plain
-    time,price CSV. Each row is checked on its line: a bad value would
-    otherwise surface only after bucketing, with no line to name."""
+    time,price CSV. Each row is checked on its line, its time order too: a
+    bad value would otherwise surface only after bucketing, with no line to
+    name."""
     for t_col, p_col in (("timestamp", "last"), ("time", "price")):
         try:
-            return [(t, p) for _, (t, p) in read_table(path, {t_col: int64_field, p_col: _finite_price})]
+            return list(_time_ordered(path, read_table(path, {t_col: int64_field, p_col: _finite_price})))
         except HeaderError:
             continue
     raise ValueError(f"{path}: expected timestamp/last or time/price columns")
+
+
+def _time_ordered(path: Path, rows):
+    """The (time, price) pair of each read_table row, in order; a time below
+    the one before is an error on its line."""
+    last = -(2**63)  # the least time int64_field accepts
+    for line, (t, p) in rows:
+        if t < last:
+            raise ValueError(f"{path}:{line}: price input must be time-ordered ({t} after {last})")
+        last = t
+        yield t, p
 
 
 def _finite_price(field: str) -> float:

@@ -12,6 +12,8 @@ from .sources import NUMBER, PRICE, SCHEMAS, TEXT, TIME
 
 # how the fields of each kind parse back from a log
 _CONVERTERS = {TEXT: str, TIME: int64_field, NUMBER: float, PRICE: float}
+# one below the least time int64_field reads back
+_BEFORE_ANY_TIME = -(2**63) - 1
 
 
 class OutOfOrderError(ValueError):
@@ -31,11 +33,18 @@ class RecordLog:
         self._last_timestamp: int | None = None
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         if not fresh:
-            # every field of every row is parsed, as read() does, but only
-            # the last ordering key is kept
+            # every field of every row is parsed, as read() does, and the
+            # ordering key must advance on every line; only the last is kept
             key = self.columns.index(self._time_column)
-            for _, values in self._rows():
-                self._last_timestamp = values[key]
+            last = _BEFORE_ANY_TIME
+            for line, values in self._rows():
+                if values[key] <= last:
+                    raise ValueError(
+                        f"{self.path}:{line}: timestamp {values[key]} does not advance the log (line before: {last})"
+                    )
+                last = values[key]
+            if last != _BEFORE_ANY_TIME:
+                self._last_timestamp = last
         self._handle = open(self.path, "w" if fresh else "a", encoding="utf-8", newline="")
         self._writer = csv.writer(self._handle, lineterminator="\n")
         if fresh:

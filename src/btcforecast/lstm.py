@@ -15,19 +15,23 @@ gives all four gates, each a contiguous row block of a. Training minimizes
 mean absolute error with one Adam step per epoch (full batch), which makes
 runs bit-reproducible for a fixed seed. Everything is float64.
 
-h and c enter the first step as zero. So that step computes a from the x
-columns of W alone, as [W_x, b] @ [x; 1] in one matmul, and sets
-c = i * g; its backward pass leaves out the forget gate and the h columns
-of dW. At lag 1 this step is the whole recurrence. Its f rows are still
-computed, so every cached gate is a valid activation.
+h and c enter the first step as zero. So that step computes only the i, o
+and g rows of a, from the x columns of W, as [W_x, b] @ [x; 1] in one
+matmul, and sets c = i * g; no f rows are computed or stored, and its
+backward pass leaves out the forget gate and the h columns of dW. At lag 1
+this step is the whole recurrence.
 
 Each epoch runs forward and backward over the full batch on one thread,
-in a workspace allocated once per training and written in place; Adam
-updates the model's arrays in place too. Importing btcforecast pins BLAS to
-one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS
-default to 1; a value the caller set wins), so the bits of a run do not
-depend on the core count. cli.run_comparison trains its two LSTMs in two
-processes.
+in a workspace allocated once per training and written in place. It keeps
+per step only the activated gates and the cell state the step leaves (5H
+floats per sample, 4H at step 0); backward recomputes tanh(c) and h from
+them with the calls forward made, so the bits are those of a stored copy.
+Prediction runs the same forward over one step of gates and two cell
+states. Adam updates the model's arrays in place too. Importing
+btcforecast pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS default to 1; a value the caller set wins), so the bits
+of a run do not depend on the core count. cli.run_comparison trains its two
+LSTMs in two processes.
 """
 
 from __future__ import annotations
@@ -135,38 +139,52 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
 
 
 class _Workspace:
-    """Every buffer that forward and backward over one (n, lag, n_features)
-    batch need, allocated once and written in place. x1 = [x; 1] is the
-    input of step 0, where h is zero: one matmul with [W_x, b] gives its
-    gates (numpy's matmul is slow at an inner size of 1). z[t - 1] = [h; x]
-    is the input of step t >= 1: its x rows are filled here and never
-    change, its h rows are written by step t - 1. c[t] is the cell state
-    entering step t, so c[0] = 0 and c[lag] is the final state."""
+    """Every buffer that forward (and, with backprop, backward) over one
+    (n, lag, n_features) batch needs, allocated once and written in place.
 
-    def __init__(self, model: LstmModel, windows: np.ndarray):
+    Per step t it keeps only what backward reads back: gates[t], the
+    activated gate rows, and c[t], the cell state the step leaves. Step 0
+    stores no f rows, because h and c enter it as zero. h and tanh(c) are
+    recomputed from them, so z = [h; x] (the input of a step t >= 1, its x
+    rows copied from windows), tanh_c and the scratch rows are one rolling
+    buffer each. x1 = [x; 1] is the input of step 0: one matmul with
+    [W_x, b] gives its gates (numpy's matmul is slow at an inner size of 1).
+
+    Without backprop (prediction) every step writes the same gate block,
+    and c alternates between two slots, so memory does not grow with lag."""
+
+    def __init__(self, model: LstmModel, windows: np.ndarray, backprop: bool = True):
         n, lag, f = windows.shape
         h = model.hidden_size
         if f != model.n_features:
             raise ValueError(f"model expects {model.n_features} features, got {f}")
         if not np.isfinite(windows).all():
             raise ValueError("non-finite input window")
+        self.x = windows.transpose(1, 2, 0)         # (lag, f, n) view, no copy
         self.x1 = np.ones((f + 1, n))
-        self.x1[:f] = windows[:, 0, :].T
-        self.z = np.zeros((lag - 1, h + f, n))
-        self.z[:, h:, :] = windows[:, 1:, :].transpose(1, 2, 0)
-        self.gates = np.empty((lag, 4 * h, n))      # activated f, i, o, g rows
-        self.gate_rows = [np.split(g, 4) for g in self.gates]
-        self.c = np.zeros((lag + 1, h, n))
-        self.tanh_c = np.empty((lag, h, n))
+        self.x1[:f] = self.x[0]
+        self.z = np.empty((h + f, n)) if lag > 1 else None
+        if backprop:  # step 0 holds the i, o, g rows; each later step f, i, o, g
+            block = np.empty(((4 * lag - 1) * h, n))
+            self.gates = [block[: 3 * h]] + [block[(4 * t - 1) * h : (4 * t + 3) * h] for t in range(1, lag)]
+            self.c = list(np.empty((lag, h, n)))
+        else:
+            block = np.empty((4 * h if lag > 1 else 3 * h, n))
+            self.gates = [block[-3 * h :]] + [block] * (lag - 1)
+            slots = np.empty((2, h, n))
+            self.c = [slots[t % 2] for t in range(lag)]
+        self.gate_rows = [np.split(g, len(g) // h) for g in self.gates]
+        self.tanh_c = np.empty((h, n))               # forward leaves tanh(c[lag - 1]) here
         self.h_last = np.empty((h, n))
-        self.dH = np.empty((h, n))
-        self.dC = np.empty((h, n))
-        self.da = np.empty((4 * h, n))              # gradient w.r.t. the pre-activations
-        self.da_rows = np.split(self.da, 4)
-        self.scratch = np.empty((2, h, n))
-        self.grads = {name: np.empty_like(p) for name, p in model.params().items()}
-        self.dW = np.empty_like(model.W)
-        self.db = np.empty_like(model.b)
+        self.scratch = np.empty((2 if backprop else 1, h, n))
+        if backprop:
+            self.dH = np.empty((h, n))
+            self.dC = np.empty((h, n))
+            self.da = np.empty((4 * h, n))          # gradient w.r.t. the pre-activations
+            self.da_rows = np.split(self.da, 4)
+            self.grads = {name: np.empty_like(p) for name, p in model.params().items()}
+            self.dW = np.empty_like(model.W)
+            self.db = np.empty_like(model.b)
 
 
 def _forward_batch(model: LstmModel, ws: _Workspace) -> np.ndarray:
@@ -177,25 +195,27 @@ def _forward_batch(model: LstmModel, ws: _Workspace) -> np.ndarray:
     b = model.b[:, None]
     tmp = ws.scratch[0]
     for t in range(lag):
-        gates = ws.gates[t]
+        gates, C = ws.gates[t], ws.c[t]
         if t:
-            np.matmul(model.W, ws.z[t - 1], out=gates)
+            ws.z[h:] = ws.x[t]
+            np.matmul(model.W, ws.z, out=gates)
             gates += b
-        else:  # h enters step 0 as zero: only the x columns of W act
-            np.matmul(np.column_stack([model.W[:, h:], model.b]), ws.x1, out=gates)
-        _sigmoid_inplace(gates[: 3 * h])
-        np.tanh(gates[3 * h :], out=gates[3 * h :])
-        ft, it, ot, gt = ws.gate_rows[t]
-        C = ws.c[t + 1]
-        if t:
-            np.multiply(ft, ws.c[t], out=C)
+            _sigmoid_inplace(gates[: 3 * h])
+            np.tanh(gates[3 * h :], out=gates[3 * h :])
+            ft, it, ot, gt = ws.gate_rows[t]
+            np.multiply(ft, ws.c[t - 1], out=C)
             np.multiply(it, gt, out=tmp)
             C += tmp
-        else:  # c enters step 0 as zero
+        else:  # h and c enter step 0 as zero: only the i, o, g rows of the
+            # x columns of W act, and c = i * g
+            np.matmul(np.column_stack([model.W[h:, h:], model.b[h:]]), ws.x1, out=gates)
+            _sigmoid_inplace(gates[: 2 * h])
+            np.tanh(gates[2 * h :], out=gates[2 * h :])
+            it, ot, gt = ws.gate_rows[0]
             np.multiply(it, gt, out=C)
-        np.tanh(C, out=ws.tanh_c[t])
-        H = ws.z[t, :h] if t + 1 < lag else ws.h_last
-        np.multiply(ot, ws.tanh_c[t], out=H)
+        np.tanh(C, out=ws.tanh_c)
+        H = ws.z[:h] if t + 1 < lag else ws.h_last
+        np.multiply(ot, ws.tanh_c, out=H)
     pred = model.Wd @ ws.h_last + model.bd[:, None]
     return pred[0]
 
@@ -210,16 +230,19 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
     grads["bd"][0] = d_pred.sum()
     grads["W"].fill(0.0)
     grads["b"].fill(0.0)
-    dH, dC, da = ws.dH, ws.dC, ws.da
+    dH, dC, da, tanh_c, z = ws.dH, ws.dC, ws.da, ws.tanh_c, ws.z
     np.multiply(model.Wd[0][:, None], d_pred[None, :], out=dH)
     dC.fill(0.0)
     W_hT = model.W[:, :h].T
     da_f, da_i, da_o, da_g = ws.da_rows
     s, u = ws.scratch
-    # each expression is evaluated left to right, as written in the comments
+    # each expression is evaluated left to right, as written in the comments;
+    # tanh_c holds tanh(c[t]), as forward left it for the last step
     for t in reversed(range(len(ws.gates))):
-        ft, it, ot, gt = ws.gate_rows[t]
-        tanh_c = ws.tanh_c[t]
+        if t:
+            ft, it, ot, gt = ws.gate_rows[t]
+        else:
+            it, ot, gt = ws.gate_rows[0]
         # dC += dH * ot * (1 - tanh_c * tanh_c)
         np.multiply(tanh_c, tanh_c, out=s)
         np.subtract(1.0, s, out=s)
@@ -227,7 +250,7 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
         u *= s
         dC += u
         if t:  # da_f = dC * c_prev * ft * (1 - ft), which is 0 at t = 0
-            np.multiply(dC, ws.c[t], out=da_f)
+            np.multiply(dC, ws.c[t - 1], out=da_f)
             da_f *= ft
             np.subtract(1.0, ft, out=s)
             da_f *= s
@@ -252,7 +275,12 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
             grads["W"][h:, h:] += dx1[:, :-1]
             grads["b"][h:] += dx1[:, -1]
             break
-        grads["W"] += np.matmul(da, ws.z[t - 1].T, out=ws.dW)
+        # z = [h; x] entering step t, with h = o * tanh(c) of step t - 1
+        # recomputed as forward computed it; tanh_c then serves step t - 1
+        np.tanh(ws.c[t - 1], out=tanh_c)
+        np.multiply(ws.gate_rows[t - 1][-2], tanh_c, out=z[:h])  # [-2]: the o rows
+        z[h:] = ws.x[t]
+        grads["W"] += np.matmul(da, z.T, out=ws.dW)
         grads["b"] += np.sum(da, axis=1, out=ws.db)
         np.matmul(W_hT, da, out=dH)
         dC *= ft
@@ -327,5 +355,6 @@ def predict_series(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
 
 def predict_scaled(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
     """One prediction per sample in scaled [0, 1] units."""
-    return _forward_batch(model, _Workspace(model, np.asarray(dataset.inputs, dtype=np.float64)))
+    windows = np.asarray(dataset.inputs, dtype=np.float64)
+    return _forward_batch(model, _Workspace(model, windows, backprop=False))
 

@@ -235,6 +235,13 @@ class TestErrorPaths:
         code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
         _assert_one_line_error(capfd, code, "prices.csv:3:", column)
 
+    @pytest.mark.parametrize("header", ["time,price", "timestamp,last"])
+    def test_price_time_going_back_names_file_and_line(self, tmp_path, header, capfd):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(f"{header}\n100,1.0\n200,2.0\n200,2.5\n150,3.0\n")
+        code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
+        _assert_one_line_error(capfd, code, "prices.csv:5:", "price input must be time-ordered")
+
     def test_timestamp_past_64_bits_names_line(self, small_sine, tmp_path, capfd):
         bad = self._set_field(small_sine, tmp_path / "big.csv", 0, "9" * 25)
         code = run(["train-arima", "--data", str(bad), "--out-dir", str(tmp_path / "out")])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import math
 import tempfile
 import threading
@@ -342,6 +343,20 @@ class TestRecordLog:
         with RecordLog(path, BITSTAMP_TICKER) as log:
             log.append(self._tick(bitstamp_payload, int(1e30)))  # a payload's "1e30", once let through
         with pytest.raises(ValueError, match=r"ticks\.csv:2: column 'timestamp': timestamp must fit in a 64-bit"):
+            RecordLog(path, BITSTAMP_TICKER)
+
+    @pytest.mark.parametrize("timestamp", [90, 100])
+    def test_reopen_rejects_a_time_that_does_not_advance(self, tmp_path, bitstamp_payload, timestamp):
+        # line 3 goes back to 90 (or repeats 100), as a hand-joined log could
+        path = tmp_path / "ticks.csv"
+        self._log_with(path, bitstamp_payload, 3)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        fields[TABLE2_FIELDS.index("timestamp")] = str(timestamp)
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = rf"^{re.escape(str(path))}:3: timestamp {timestamp} does not advance the log \(line before: 100\)$"
+        with pytest.raises(ValueError, match=expected):
             RecordLog(path, BITSTAMP_TICKER)
 
     def test_reopen_after_trailing_blank_line(self, tmp_path, bitstamp_payload):

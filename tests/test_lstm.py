@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,11 +114,22 @@ class TestForward:
     def test_activation_ranges(self):
         model = init(LstmConfig(n_features=2, hidden_size=6, lag=4, seed=3))
         window = np.random.default_rng(0).uniform(0, 1, size=(4, 2))
-        _, cache = forward(model, window)
-        for t in range(4):
-            sigmoid_gates = cache.gates[t][: 3 * 6]  # f, i, o rows
-            assert np.all(sigmoid_gates > 0.0) and np.all(sigmoid_gates < 1.0)
-        assert np.all(np.abs(cache.h_last) < 1.0)
+        _, ws = forward(model, window)
+        # h and c enter step 0 as zero, so it stores i, o, g and no f rows
+        assert [len(rows) for rows in ws.gate_rows] == [3, 4, 4, 4]
+        for rows in ws.gate_rows:
+            *sigmoid_rows, _ = rows  # f, i, o at t >= 1; i, o at t = 0
+            for gate in sigmoid_rows:
+                assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        assert np.all(np.abs(ws.h_last) < 1.0)
+
+    def test_training_keeps_gates_and_cell_states_per_step(self):
+        h, lag, n = 5, 6, 7
+        model = init(LstmConfig(n_features=2, hidden_size=h, lag=lag, seed=1))
+        ws = lstm._Workspace(model, np.random.default_rng(1).uniform(0, 1, size=(n, lag, 2)))
+        per_step = [(len(g) + len(c)) // h for g, c in zip(ws.gates, ws.c)]
+        assert per_step == [4] + [5] * (lag - 1)  # i, o, g, c; then f, i, o, g, c
+        assert all(g.shape == (4 * h, n) for g in ws.gates[1:]) and ws.gates[0].shape == (3 * h, n)
 
     def test_rejects_non_finite_input(self):
         model = init(LstmConfig(hidden_size=2, lag=1, seed=0))
@@ -350,6 +362,31 @@ class TestPredict:
         model = _zero_model(hidden=4, features=1, lag=4)
         preds = predict_series(model, ds)
         assert np.allclose(preds, ds.scaler.mins[0])
+
+    @pytest.mark.parametrize("lag", [1, 2, 10])
+    @pytest.mark.parametrize("n_features", [1, 2])
+    def test_matches_the_training_forward(self, lag, n_features):
+        ds = _sine_dataset(lag=lag, features=PRICE_ONLY if n_features == 1 else PRICE_AND_SENTIMENT)
+        cfg = LstmConfig(n_features=n_features, hidden_size=5, lag=lag, epochs=3, seed=lag)
+        model, _ = train(cfg, ds)
+        training = lstm._Workspace(model, np.asarray(ds.inputs, dtype=np.float64))
+        assert np.array_equal(lstm.predict_scaled(model, ds), lstm._forward_batch(model, training))
+
+    def test_allocates_one_step(self):
+        h, lag = 32, 10
+        ds = _sine_dataset(lag=lag, n=220)
+        model = init(LstmConfig(hidden_size=h, lag=lag, seed=0))
+        lstm.predict_scaled(model, ds)
+        tracemalloc.start()
+        try:
+            lstm.predict_scaled(model, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one step of gates (4H) plus two cell states (2H) per sample, with
+        # as much again for the step's other rows: [h; x], [x; 1], tanh(c),
+        # h and one temporary. A workspace per step would take lag x 6H.
+        assert peak <= 2 * (4 * h + 2 * h) * len(ds) * 8
 
     def test_unscaling_consistency(self):
         ds = _sine_dataset()
