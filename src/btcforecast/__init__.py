@@ -19,7 +19,9 @@ if not _NUMPY_PRELOADED:
 # True when BLAS is known to run one thread in this process.
 BLAS_PINNED = not _NUMPY_PRELOADED and all(os.environ[name] == "1" for name in BLAS_THREAD_VARS)
 
-from . import arima, dataset, evaluation, ingest, lstm, sentiment, synthetic
+# ingest (with urllib, http and ssl) and synthetic load when imported by
+# name, so a command that does not ingest does not pay for them
+from . import arima, dataset, evaluation, lstm, sentiment
 
 __all__ = [
     "arima",

@@ -40,8 +40,7 @@ from .dataset import (
     train_test_counts,
     unscale_column,
 )
-from .ingest import RecordLog, load_sources, poll
-from .table import HeaderError, int64_field, read_table
+from .table import HeaderError, int64_field, read_table, time_ordered
 
 FIXTURES_ENV = "BTCFORECAST_FIXTURES"
 
@@ -151,21 +150,10 @@ def _read_price_stream(path: Path) -> list[tuple[int, float]]:
     name."""
     for t_col, p_col in (("timestamp", "last"), ("time", "price")):
         try:
-            return list(_time_ordered(path, read_table(path, {t_col: int64_field, p_col: _finite_price})))
+            return list(time_ordered(path, read_table(path, {t_col: int64_field, p_col: _finite_price}), "price"))
         except HeaderError:
             continue
     raise ValueError(f"{path}: expected timestamp/last or time/price columns")
-
-
-def _time_ordered(path: Path, rows):
-    """The (time, price) pair of each read_table row, in order; a time below
-    the one before is an error on its line."""
-    last = -(2**63)  # the least time int64_field accepts
-    for line, (t, p) in rows:
-        if t < last:
-            raise ValueError(f"{path}:{line}: price input must be time-ordered ({t} after {last})")
-        last = t
-        yield t, p
 
 
 def _finite_price(field: str) -> float:
@@ -333,6 +321,10 @@ def _write_reports(reports: list[evaluation.ForecastReport], out_dir: Path) -> N
 
 
 def _cmd_ingest(args) -> int:
+    # only this command loads the ingest package and the http, ssl and
+    # email modules it pulls in
+    from .ingest import RecordLog, load_sources, poll
+
     sources = load_sources(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

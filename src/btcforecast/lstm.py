@@ -24,13 +24,16 @@ this step is the whole recurrence.
 Each epoch runs forward and backward over the full batch on one thread,
 in a workspace allocated once per training and written in place. It keeps
 per step only the activated gates and the cell state the step leaves (5H
-floats per sample, 4H at step 0); backward recomputes tanh(c) and h from
-them with the calls forward made, so the bits are those of a stored copy.
+floats per sample, 4H at step 0; the last cell state sits in the tanh(c)
+row), plus four (H, n) rows, h_last, dC and two scratch rows, and at lag > 1
+z = [h; x]. Backward recomputes tanh(c) and h from them with the calls
+forward made, so the bits are those of a stored copy, and writes each
+step's gradient with respect to the pre-activations over that step's gates.
 Prediction runs the same forward over one step of gates and two cell
-states. Adam updates the model's arrays in place too. Importing
-btcforecast pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS default to 1; a value the caller set wins), so the bits
-of a run do not depend on the core count. cli.run_comparison trains its two
+states. Adam updates the model's arrays in place too. Importing btcforecast
+pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS default to 1; a value the caller set wins), so the bits of
+a run do not depend on the core count. cli.run_comparison trains its two
 LSTMs in two processes.
 """
 
@@ -150,8 +153,12 @@ class _Workspace:
     buffer each. x1 = [x; 1] is the input of step 0: one matmul with
     [W_x, b] gives its gates (numpy's matmul is slow at an inner size of 1).
 
-    Without backprop (prediction) every step writes the same gate block,
-    and c alternates between two slots, so memory does not grow with lag."""
+    Backward reads neither the last cell state nor h_last after the Wd
+    gradient, so in training c[lag - 1] is tanh_c (forward takes its tanh in
+    place) and backward keeps dH in h_last; it writes each step's gradient
+    with respect to the pre-activations over gates[t]. Without backprop
+    (prediction) every step writes the same gate block, and c alternates
+    between two slots, so memory does not grow with lag."""
 
     def __init__(self, model: LstmModel, windows: np.ndarray, backprop: bool = True):
         n, lag, f = windows.shape
@@ -164,27 +171,25 @@ class _Workspace:
         self.x1 = np.ones((f + 1, n))
         self.x1[:f] = self.x[0]
         self.z = np.empty((h + f, n)) if lag > 1 else None
+        self.tanh_c = np.empty((h, n))               # forward leaves tanh(c[lag - 1]) here
+        self.h_last = np.empty((h, n))
         if backprop:  # step 0 holds the i, o, g rows; each later step f, i, o, g
             block = np.empty(((4 * lag - 1) * h, n))
             self.gates = [block[: 3 * h]] + [block[(4 * t - 1) * h : (4 * t + 3) * h] for t in range(1, lag)]
-            self.c = list(np.empty((lag, h, n)))
+            self.c = list(np.empty((lag - 1, h, n))) + [self.tanh_c]
         else:
             block = np.empty((4 * h if lag > 1 else 3 * h, n))
             self.gates = [block[-3 * h :]] + [block] * (lag - 1)
             slots = np.empty((2, h, n))
             self.c = [slots[t % 2] for t in range(lag)]
         self.gate_rows = [np.split(g, len(g) // h) for g in self.gates]
-        self.tanh_c = np.empty((h, n))               # forward leaves tanh(c[lag - 1]) here
-        self.h_last = np.empty((h, n))
         self.scratch = np.empty((2 if backprop else 1, h, n))
         if backprop:
-            self.dH = np.empty((h, n))
             self.dC = np.empty((h, n))
-            self.da = np.empty((4 * h, n))          # gradient w.r.t. the pre-activations
-            self.da_rows = np.split(self.da, 4)
             self.grads = {name: np.empty_like(p) for name, p in model.params().items()}
-            self.dW = np.empty_like(model.W)
-            self.db = np.empty_like(model.b)
+            if lag > 1:  # one step's W and b gradients, summed over the steps t >= 1
+                self.dW = np.empty_like(model.W)
+                self.db = np.empty_like(model.b)
 
 
 def _forward_batch(model: LstmModel, ws: _Workspace) -> np.ndarray:
@@ -223,58 +228,67 @@ def _forward_batch(model: LstmModel, ws: _Workspace) -> np.ndarray:
 def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients, summed over the batch weighted by d_pred, after a
     _forward_batch of model over ws. They are written into ws.grads, which
-    the next call overwrites."""
+    the next call overwrites.
+
+    It consumes the workspace: each step's gate rows become the gradient
+    with respect to that step's pre-activations, and h_last becomes dH. So
+    a second call needs a fresh _forward_batch first."""
     h = model.hidden_size
     grads = ws.grads
     np.matmul(d_pred[None, :], ws.h_last.T, out=grads["Wd"])
     grads["bd"][0] = d_pred.sum()
     grads["W"].fill(0.0)
     grads["b"].fill(0.0)
-    dH, dC, da, tanh_c, z = ws.dH, ws.dC, ws.da, ws.tanh_c, ws.z
+    dH, dC, tanh_c, z = ws.h_last, ws.dC, ws.tanh_c, ws.z  # h_last is read above, then holds dH
     np.multiply(model.Wd[0][:, None], d_pred[None, :], out=dH)
     dC.fill(0.0)
     W_hT = model.W[:, :h].T
-    da_f, da_i, da_o, da_g = ws.da_rows
     s, u = ws.scratch
-    # each expression is evaluated left to right, as written in the comments;
-    # tanh_c holds tanh(c[t]), as forward left it for the last step
+    # The comments give each product with its grouping. A gate's (1 - x)
+    # factor is written over its row once nothing reads the gate, and the
+    # partial product is multiplied into it; IEEE multiplication commutes,
+    # so every bit is that of the grouping shown. tanh_c holds tanh(c[t]),
+    # as forward left it for the last step.
     for t in reversed(range(len(ws.gates))):
+        da = ws.gates[t]
         if t:
             ft, it, ot, gt = ws.gate_rows[t]
         else:
             it, ot, gt = ws.gate_rows[0]
-        # dC += dH * ot * (1 - tanh_c * tanh_c)
+        # dC += (dH * ot) * (1 - tanh_c * tanh_c)
         np.multiply(tanh_c, tanh_c, out=s)
         np.subtract(1.0, s, out=s)
         np.multiply(dH, ot, out=u)
         u *= s
         dC += u
-        if t:  # da_f = dC * c_prev * ft * (1 - ft), which is 0 at t = 0
-            np.multiply(dC, ws.c[t - 1], out=da_f)
-            da_f *= ft
-            np.subtract(1.0, ft, out=s)
-            da_f *= s
-        # da_i = dC * gt * it * (1 - it)
-        np.multiply(dC, gt, out=da_i)
-        da_i *= it
-        np.subtract(1.0, it, out=s)
-        da_i *= s
-        # da_o = dH * tanh_c * ot * (1 - ot)
-        np.multiply(dH, tanh_c, out=da_o)
-        da_o *= ot
-        np.subtract(1.0, ot, out=s)
-        da_o *= s
-        # da_g = dC * it * (1 - gt * gt)
-        np.multiply(dC, it, out=da_g)
-        np.multiply(gt, gt, out=s)
-        np.subtract(1.0, s, out=s)
-        da_g *= s
+        # da_o = ((dH * tanh_c) * ot) * (1 - ot)
+        np.multiply(dH, tanh_c, out=s)
+        s *= ot
+        np.subtract(1.0, ot, out=ot)
+        ot *= s
+        # da_i = ((dC * gt) * it) * (1 - it): its partial product first,
+        # because da_g goes over gt
+        np.multiply(dC, gt, out=u)
+        u *= it
+        # da_g = (dC * it) * (1 - gt * gt)
+        np.multiply(dC, it, out=s)
+        np.multiply(gt, gt, out=gt)
+        np.subtract(1.0, gt, out=gt)
+        gt *= s
+        np.subtract(1.0, it, out=it)  # da_i, finished over it
+        it *= u
         if t == 0:  # only the i, o, g rows of the x columns and of b get a
             # gradient, which is da @ [x; 1]'; no earlier step reads dH and dC
-            dx1 = da[h:] @ ws.x1.T
+            dx1 = da @ ws.x1.T
             grads["W"][h:, h:] += dx1[:, :-1]
             grads["b"][h:] += dx1[:, -1]
             break
+        # da_f = ((dC * c_prev) * ft) * (1 - ft); dC *= ft before ft goes
+        np.multiply(dC, ws.c[t - 1], out=s)
+        s *= ft
+        dC *= ft
+        np.subtract(1.0, ft, out=ft)
+        ft *= s
         # z = [h; x] entering step t, with h = o * tanh(c) of step t - 1
         # recomputed as forward computed it; tanh_c then serves step t - 1
         np.tanh(ws.c[t - 1], out=tanh_c)
@@ -283,7 +297,6 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
         grads["W"] += np.matmul(da, z.T, out=ws.dW)
         grads["b"] += np.sum(da, axis=1, out=ws.db)
         np.matmul(W_hT, da, out=dH)
-        dC *= ft
     return grads
 
 

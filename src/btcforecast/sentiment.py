@@ -14,7 +14,7 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
-from .table import read_table, write_table
+from .table import int64_field, read_table, time_ordered, write_table
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -204,8 +204,10 @@ def write_sentiment_log(path: str | Path, records: list[SentimentRecord]) -> Non
 
 
 def read_sentiment_log(path: str | Path) -> list[tuple[int, float, str]]:
-    columns = {"timestamp": int, "polarity": _polarity, "label": str}
-    return [tuple(values) for _, values in read_table(path, columns)]
+    """The (timestamp, polarity, label) rows of a log, which merge buckets in
+    time order: a time that goes back is an error on its line."""
+    columns = {"timestamp": int64_field, "polarity": _polarity, "label": str}
+    return list(time_ordered(path, read_table(path, columns), "sentiment"))
 
 
 def _polarity(field: str) -> float:

@@ -71,6 +71,19 @@ def int64_field(field: str | float) -> int:
     return value
 
 
+def time_ordered(path: str | Path, rows: Iterable[tuple[int, list]], what: str) -> Iterator[tuple]:
+    """The values of each read_table row, as a tuple, in order; a time (the
+    first value, an int64_field) below the one before is an error on its
+    line."""
+    last = -(2**63)  # the least time int64_field accepts
+    for line, values in rows:
+        t = values[0]
+        if t < last:
+            raise ValueError(f"{path}:{line}: {what} input must be time-ordered ({t} after {last})")
+        last = t
+        yield tuple(values)
+
+
 def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write header, then each row of rows as it is produced, as a UTF-8 CSV
     table with LF line endings."""

@@ -372,13 +372,16 @@ def test_css_matches_the_scalar_recursion(case):
 @pytest.mark.parametrize("ma,n", [
     ([0.0, 0.5], 300), ([0.0, 0.0, -0.7], 300),
     ([-1.0], 700), ([1.01], 500), ([-1.5], 300), ([3.0], 2000), ([-3.0], 2000),
+    (list(np.poly([0.98] * 3)[1:]), 2000),
 ])
 def test_css_matches_the_scalar_recursion_at_the_edges(ma, n):
     """Leading zero MA coefficients start the impulse response with zeros,
     which must not end it. A Gauss-Newton trial can leave the invertible
     region: up to the unit root and a little past it the innovations stay
     finite and match, and where the recursion overflows the SSE is not
-    finite."""
+    finite. Near a repeated root on the unit circle, a = (1 - 0.98L)^3,
+    Newton's doubling of the impulse response would grow its error
+    instead of correcting it."""
     w = np.random.default_rng(n).normal(0.0, 20.0, size=n)
     _assert_css_matches_reference(w[1:], _lag_matrix(w, 1, True), np.array([0.5, 0.6, *ma]))
 

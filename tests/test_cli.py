@@ -242,6 +242,13 @@ class TestErrorPaths:
         code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
         _assert_one_line_error(capfd, code, "prices.csv:5:", "price input must be time-ordered")
 
+    def test_sentiment_time_going_back_names_file_and_line(self, tmp_path, capfd):
+        prices, log = tmp_path / "prices.csv", tmp_path / "sent.csv"
+        prices.write_text("time,price\n100,1.0\n300,2.0\n")
+        log.write_text("timestamp,polarity,label\n100,0.5,Positive\n300,0.0,Neutral\n200,-0.5,Negative\n")
+        code = run(["merge", "--prices", str(prices), "--sentiment", str(log), "--out", str(tmp_path / "m.csv")])
+        _assert_one_line_error(capfd, code, "sent.csv:4: sentiment input must be time-ordered (200 after 300)")
+
     def test_timestamp_past_64_bits_names_line(self, small_sine, tmp_path, capfd):
         bad = self._set_field(small_sine, tmp_path / "big.csv", 0, "9" * 25)
         code = run(["train-arima", "--data", str(bad), "--out-dir", str(tmp_path / "out")])
@@ -700,6 +707,19 @@ class TestForkDecision:
 
     def test_a_blas_thread_count_set_by_the_caller_does_not_fork(self):
         assert not self._can_fork("", OPENBLAS_NUM_THREADS="2")
+
+
+def test_importing_the_cli_loads_no_ingest_or_network_module():
+    """Only the ingest command needs the ingest package and the urllib, http
+    and ssl modules it pulls in; the CLI imports them in that command."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
+                                                        *filter(None, [os.environ.get("PYTHONPATH")])])}
+    names = ("btcforecast.ingest", "urllib.request", "http.client", "ssl")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, btcforecast.cli; print([m for m in {names!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def _run_demo(name: str) -> subprocess.CompletedProcess:

@@ -26,6 +26,7 @@ from btcforecast.lstm import (
     train,
 )
 from btcforecast.synthetic import sine_series
+from backward_reference import reference_backward
 from gradcheck import backward, fd_gradients, forward, max_rel_err
 
 
@@ -169,6 +170,47 @@ class TestBackward:
         _, cache = forward(model, np.random.default_rng(1).uniform(0, 1, (2, 1)))
         grads = backward(model, cache, 0.0)
         assert all(np.all(g == 0.0) for g in grads.values())
+
+    @pytest.mark.parametrize("lag", [1, 2, 10])
+    @pytest.mark.parametrize("n_features", [1, 2])
+    def test_matches_the_reference_with_its_own_buffers_bit_for_bit(self, lag, n_features):
+        """Backward writes each step's pre-activation gradient over that
+        step's gate rows and dH over h_last, so it consumes the workspace; a
+        fresh forward restores it."""
+        rng = np.random.default_rng(10 * lag + n_features)
+        model = init(LstmConfig(n_features=n_features, hidden_size=8, lag=lag, seed=lag))
+        model.b[:] = rng.uniform(-0.5, 0.5, size=model.b.shape)
+        n = 301
+        ws = lstm._Workspace(model, rng.uniform(0, 1, size=(n, lag, n_features)))
+        d_pred = rng.normal(size=n) / n
+        lstm._forward_batch(model, ws)
+        expected = reference_backward(model, ws, d_pred)
+        grads = lstm._backward_batch(model, ws, d_pred)
+        assert all(np.array_equal(grads[k], expected[k]) for k in lstm.PARAM_NAMES)
+        lstm._forward_batch(model, ws)
+        grads = lstm._backward_batch(model, ws, d_pred)
+        assert all(np.array_equal(grads[k], expected[k]) for k in lstm.PARAM_NAMES)
+
+    @pytest.mark.parametrize("lag,n", [(1, 2099), (10, 483)])
+    def test_training_workspace_holds_the_stored_steps_and_five_rows(self, lag, n):
+        """Training keeps every step's gates and cell state plus at most five
+        (H, n) rows; the rest is [x; 1], the x rows of z and the gradients.
+        A pre-activation gradient of its own (4H rows), a dH beside h_last
+        and a last cell state beside tanh_c would add six rows."""
+        h, f = 32, 1
+        model = init(LstmConfig(n_features=f, hidden_size=h, lag=lag, seed=0))
+        windows = np.random.default_rng(0).uniform(0, 1, size=(n, lag, f))
+        tracemalloc.start()
+        try:
+            ws = lstm._Workspace(model, windows)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ws.gates) == lag
+        row = h * n * 8
+        stored = (4 * lag - 1) * row + lag * row  # step 0 stores 3H gate rows
+        small = (2 * f + 1) * n * 8 + 3 * sum(p.nbytes for p in model.params().values())
+        assert size <= stored + 5 * row + small
 
     def test_lag1_matches_single_step_closed_form(self):
         # with lag 1, h_prev = c_prev = 0, so the gradients have a short
