@@ -103,7 +103,8 @@ class SupervisedDataset:
 
     inputs has shape (n, lag, n_features); targets and target_times have
     shape (n,). The scaler is carried along so predictions can be mapped
-    back to USD.
+    back to USD. to_supervised makes inputs a read-only view of the series'
+    columns, so overlapping windows share memory; nothing writes into it.
     """
 
     inputs: np.ndarray
@@ -228,8 +229,8 @@ def to_supervised(series: MergedSeries, lag: int, features: str, scaler: ScalerP
     else:
         raise ValueError(f"unknown feature mode {features!r}")
 
-    n = len(series) - lag
-    inputs = np.stack([cols[i : i + lag] for i in range(n)])
+    # (n, lag, F), a read-only view: no copy of the overlapping windows
+    inputs = np.lib.stride_tricks.sliding_window_view(cols[:-1], lag, axis=0).transpose(0, 2, 1)
     targets = series.price[lag:].copy()
     target_times = series.time[lag:].copy()
     return SupervisedDataset(inputs, targets, target_times, lag, scaler, names)

@@ -29,12 +29,11 @@ row), plus four (H, n) rows, h_last, dC and two scratch rows, and at lag > 1
 z = [h; x]. Backward recomputes tanh(c) and h from them with the calls
 forward made, so the bits are those of a stored copy, and writes each
 step's gradient with respect to the pre-activations over that step's gates.
-Prediction runs the same forward over one step of gates and two cell
-states. Adam updates the model's arrays in place too. Importing btcforecast
-pins BLAS to one thread (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS default to 1; a value the caller set wins), so the bits of
-a run do not depend on the core count. cli.run_comparison trains its two
-LSTMs in two processes.
+Prediction runs the same forward over the same workspace. Adam updates the
+model's arrays in place too. Importing btcforecast pins BLAS to one thread
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a
+value the caller set wins), so the bits of a run do not depend on the core
+count. cli.run_comparison trains its two LSTMs in two processes.
 """
 
 from __future__ import annotations
@@ -71,6 +70,8 @@ class LstmConfig:
             raise ValueError("hidden_size and lag must be positive, epochs >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -109,15 +110,12 @@ class AdamState:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch MAE (scaled units) plus wall-clock timings in ms."""
+    """Per-epoch MAE (scaled units), plus the wall-clock time of init and of
+    the epoch loop in ms."""
 
     losses: list[float] = field(default_factory=list)
     build_time_ms: float = 0.0
-    epoch_times_ms: list[float] = field(default_factory=list)
-
-    @property
-    def train_time_ms(self) -> float:
-        return float(sum(self.epoch_times_ms))
+    train_time_ms: float = 0.0
 
 
 def init(config: LstmConfig) -> LstmModel:
@@ -142,8 +140,8 @@ def _sigmoid_inplace(x: np.ndarray) -> None:
 
 
 class _Workspace:
-    """Every buffer that forward (and, with backprop, backward) over one
-    (n, lag, n_features) batch needs, allocated once and written in place.
+    """Every buffer that forward and backward over one (n, lag, n_features)
+    batch need, allocated once and written in place.
 
     Per step t it keeps only what backward reads back: gates[t], the
     activated gate rows, and c[t], the cell state the step leaves. Step 0
@@ -154,13 +152,11 @@ class _Workspace:
     [W_x, b] gives its gates (numpy's matmul is slow at an inner size of 1).
 
     Backward reads neither the last cell state nor h_last after the Wd
-    gradient, so in training c[lag - 1] is tanh_c (forward takes its tanh in
-    place) and backward keeps dH in h_last; it writes each step's gradient
-    with respect to the pre-activations over gates[t]. Without backprop
-    (prediction) every step writes the same gate block, and c alternates
-    between two slots, so memory does not grow with lag."""
+    gradient, so c[lag - 1] is tanh_c (forward takes its tanh in place) and
+    backward keeps dH in h_last; it writes each step's gradient with respect
+    to the pre-activations over gates[t]."""
 
-    def __init__(self, model: LstmModel, windows: np.ndarray, backprop: bool = True):
+    def __init__(self, model: LstmModel, windows: np.ndarray):
         n, lag, f = windows.shape
         h = model.hidden_size
         if f != model.n_features:
@@ -173,23 +169,17 @@ class _Workspace:
         self.z = np.empty((h + f, n)) if lag > 1 else None
         self.tanh_c = np.empty((h, n))               # forward leaves tanh(c[lag - 1]) here
         self.h_last = np.empty((h, n))
-        if backprop:  # step 0 holds the i, o, g rows; each later step f, i, o, g
-            block = np.empty(((4 * lag - 1) * h, n))
-            self.gates = [block[: 3 * h]] + [block[(4 * t - 1) * h : (4 * t + 3) * h] for t in range(1, lag)]
-            self.c = list(np.empty((lag - 1, h, n))) + [self.tanh_c]
-        else:
-            block = np.empty((4 * h if lag > 1 else 3 * h, n))
-            self.gates = [block[-3 * h :]] + [block] * (lag - 1)
-            slots = np.empty((2, h, n))
-            self.c = [slots[t % 2] for t in range(lag)]
+        # step 0 holds the i, o, g rows; each later step f, i, o, g
+        block = np.empty(((4 * lag - 1) * h, n))
+        self.gates = [block[: 3 * h]] + [block[(4 * t - 1) * h : (4 * t + 3) * h] for t in range(1, lag)]
         self.gate_rows = [np.split(g, len(g) // h) for g in self.gates]
-        self.scratch = np.empty((2 if backprop else 1, h, n))
-        if backprop:
-            self.dC = np.empty((h, n))
-            self.grads = {name: np.empty_like(p) for name, p in model.params().items()}
-            if lag > 1:  # one step's W and b gradients, summed over the steps t >= 1
-                self.dW = np.empty_like(model.W)
-                self.db = np.empty_like(model.b)
+        self.c = list(np.empty((lag - 1, h, n))) + [self.tanh_c]
+        self.scratch = np.empty((2, h, n))
+        self.dC = np.empty((h, n))
+        self.grads = {name: np.empty_like(p) for name, p in model.params().items()}
+        if lag > 1:  # one step's W and b gradients, summed over the steps t >= 1
+            self.dW = np.empty_like(model.W)
+            self.db = np.empty_like(model.b)
 
 
 def _forward_batch(model: LstmModel, ws: _Workspace) -> np.ndarray:
@@ -240,7 +230,8 @@ def _backward_batch(model: LstmModel, ws: _Workspace, d_pred: np.ndarray) -> dic
     grads["W"].fill(0.0)
     grads["b"].fill(0.0)
     dH, dC, tanh_c, z = ws.h_last, ws.dC, ws.tanh_c, ws.z  # h_last is read above, then holds dH
-    np.multiply(model.Wd[0][:, None], d_pred[None, :], out=dH)
+    for row, w in zip(dH, model.Wd[0]):  # row by row: the broadcast product allocates
+        np.multiply(d_pred, w, out=row)
     dC.fill(0.0)
     W_hT = model.W[:, :h].T
     s, u = ws.scratch
@@ -345,8 +336,8 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
     ws = _Workspace(model, X)
     params = model.params()
     state = AdamState.for_params(params)
+    t_train = time.perf_counter()
     for epoch in range(config.epochs):
-        t_epoch = time.perf_counter()
         resid = _forward_batch(model, ws) - y
         loss = float(np.abs(resid).sum()) / n
         if not np.isfinite(loss):
@@ -355,7 +346,7 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
         grads = _backward_batch(model, ws, np.sign(resid) / n)
         adam_step(params, grads, state, config.learning_rate)
         history.losses.append(loss)
-        history.epoch_times_ms.append((time.perf_counter() - t_epoch) * 1000.0)
+    history.train_time_ms = (time.perf_counter() - t_train) * 1000.0
     if not all(np.isfinite(p).all() for p in params.values()):
         raise TrainingDiverged(f"non-finite parameters after epoch {config.epochs - 1}")
     return model, history
@@ -369,5 +360,5 @@ def predict_series(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
 def predict_scaled(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
     """One prediction per sample in scaled [0, 1] units."""
     windows = np.asarray(dataset.inputs, dtype=np.float64)
-    return _forward_batch(model, _Workspace(model, windows, backprop=False))
+    return _forward_batch(model, _Workspace(model, windows))
 

@@ -190,7 +190,7 @@ def process_post(post: RawPost, lexicon: Lexicon) -> SentimentRecord:
 
 def read_posts(path: str | Path) -> list[RawPost]:
     """Read a posts file: header ``timestamp,source,text``, text quoted."""
-    columns = dict(zip(POST_COLUMNS, (int, str, str)))
+    columns = dict(zip(POST_COLUMNS, (int64_field, str, str)))
     return [
         RawPost(timestamp=t, text=text, source=source)
         for _, (t, source, text) in read_table(path, columns)

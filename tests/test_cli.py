@@ -196,6 +196,21 @@ class TestErrorPaths:
         code = run(["sentiment", "--posts", str(posts), "--out", str(tmp_path / "s.csv")])
         _assert_one_line_error(capfd, code, "posts.csv:2:")
 
+    def test_posts_timestamp_past_64_bits_names_file_and_line(self, tmp_path, capfd):
+        """merge refuses such a time in the sentiment log, so sentiment
+        refuses it where it reads the post; the least int64 still scores."""
+        posts = tmp_path / "posts.csv"
+        posts.write_text(f'timestamp,source,text\n{-(2**63)},twitter,"btc up"\n99999999999999999999999,twitter,"btc up"\n')
+        code = run(["sentiment", "--posts", str(posts), "--out", str(tmp_path / "s.csv")])
+        _assert_one_line_error(capfd, code, "posts.csv:3:", "'timestamp'", "64-bit")
+        posts.write_text(f'timestamp,source,text\n{-(2**63)},twitter,"btc up"\n')
+        assert run(["sentiment", "--posts", str(posts), "--out", str(tmp_path / "s.csv")]) == 0
+
+    def test_negative_seed_names_the_seed(self, small_sine, tmp_path, capfd):
+        code = run(["train-lstm", "--data", str(small_sine), "--seed", "-1",
+                    "--out-dir", str(tmp_path / "out"), *FAST_LSTM])
+        _assert_one_line_error(capfd, code, "seed must be >= 0, got -1")
+
     def test_sentiment_log_without_polarity_exits_1(self, tmp_path, small_sine, capfd):
         sent = tmp_path / "sent.csv"
         sent.write_text("timestamp,label\n1,Positive\n")

@@ -168,6 +168,16 @@ class TestToSupervised:
         assert ds.inputs[0, 0, 0] == s[0] and ds.targets[0] == s[1]
         assert ds.inputs[1, 0, 0] == s[1] and ds.targets[1] == s[2]
 
+    @pytest.mark.parametrize("lag", [1, 3])
+    def test_windows_are_the_rows_before_each_target_read_only(self, lag):
+        series = MergedSeries(range(1, 9), np.linspace(1.0, 2.0, 8), np.linspace(-1.0, 1.0, 8))
+        params = fit_scaler(series)
+        scaled = scale(series, params)
+        ds = to_supervised(scaled, lag, PRICE_AND_SENTIMENT, params)
+        cols = np.stack([scaled.price, scaled.sentiment], axis=1)
+        assert np.array_equal(ds.inputs, np.stack([cols[i : i + lag] for i in range(len(ds))]))
+        assert not ds.inputs.flags.writeable
+
     def test_multifeature_window_shape(self):
         scaled, params = self._scaled(10)
         ds = to_supervised(scaled, 2, PRICE_AND_SENTIMENT, params)

@@ -212,6 +212,22 @@ class TestBackward:
         small = (2 * f + 1) * n * 8 + 3 * sum(p.nbytes for p in model.params().values())
         assert size <= stored + 5 * row + small
 
+    @pytest.mark.parametrize("lag,n", [(1, 2099), (10, 483)])
+    def test_allocates_at_most_48_kb_beyond_the_workspace(self, lag, n):
+        """dH is written into h_last row by row; a broadcast product into it
+        took about 100 KB of temporary buffer at these sizes."""
+        model = init(LstmConfig(hidden_size=32, lag=lag, seed=0))
+        ws = lstm._Workspace(model, np.random.default_rng(0).uniform(0, 1, size=(n, lag, 1)))
+        d_pred = np.random.default_rng(1).normal(size=n) / n
+        lstm._forward_batch(model, ws)
+        tracemalloc.start()
+        try:
+            lstm._backward_batch(model, ws, d_pred)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 1024
+
     def test_lag1_matches_single_step_closed_form(self):
         # with lag 1, h_prev = c_prev = 0, so the gradients have a short
         # closed form: the forget gate contributes nothing and the other
@@ -346,7 +362,7 @@ class TestTrain:
         reference = init(cfg)
         for name in lstm.PARAM_NAMES:
             assert np.array_equal(getattr(model, name), getattr(reference, name))
-        assert history.losses == [] and history.epoch_times_ms == []
+        assert history.losses == [] and history.train_time_ms >= 0.0
 
     def test_bit_identical_given_seed(self):
         ds = _sine_dataset()
@@ -413,22 +429,6 @@ class TestPredict:
         model, _ = train(cfg, ds)
         training = lstm._Workspace(model, np.asarray(ds.inputs, dtype=np.float64))
         assert np.array_equal(lstm.predict_scaled(model, ds), lstm._forward_batch(model, training))
-
-    def test_allocates_one_step(self):
-        h, lag = 32, 10
-        ds = _sine_dataset(lag=lag, n=220)
-        model = init(LstmConfig(hidden_size=h, lag=lag, seed=0))
-        lstm.predict_scaled(model, ds)
-        tracemalloc.start()
-        try:
-            lstm.predict_scaled(model, ds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one step of gates (4H) plus two cell states (2H) per sample, with
-        # as much again for the step's other rows: [h; x], [x; 1], tanh(c),
-        # h and one temporary. A workspace per step would take lag x 6H.
-        assert peak <= 2 * (4 * h + 2 * h) * len(ds) * 8
 
     def test_unscaling_consistency(self):
         ds = _sine_dataset()
