@@ -61,10 +61,11 @@ class ArimaOrder:
     @classmethod
     def parse(cls, text: str) -> "ArimaOrder":
         """Parse a "p,d,q" string."""
-        parts = [int(x) for x in text.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"expected p,d,q, got {text!r}")
-        return cls(*parts)
+        try:
+            p, d, q = map(int, text.split(","))
+        except ValueError:  # a part that is no integer, or not three parts
+            raise ValueError(f"expected p,d,q integers, got {text!r}") from None
+        return cls(p, d, q)
 
     def __str__(self) -> str:
         return f"({self.p},{self.d},{self.q})"
@@ -347,8 +348,6 @@ def rolling_forecast(
     series = np.asarray(series, dtype=np.float64)
     n = len(series)
     n_train, n_test = train_test_counts(n, train_fraction)
-    if n_test < 1:
-        raise ValueError("no test range")
 
     def _fit_prefix(end: int) -> ArimaModel:
         try:

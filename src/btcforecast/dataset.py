@@ -110,7 +110,6 @@ class SupervisedDataset:
     inputs: np.ndarray
     targets: np.ndarray
     target_times: np.ndarray
-    lag: int
     scaler: ScalerParams
     feature_names: tuple[str, ...]
 
@@ -121,35 +120,20 @@ class SupervisedDataset:
 def merge(prices, sentiments, bucket: int) -> MergedSeries:
     """Combine a price stream and scored posts into one three-column series.
 
-    prices: ordered (time, price) pairs; sentiments: ordered (time,
-    polarity) pairs; bucket: bucket width in seconds.
+    prices: (time, price) pairs; sentiments: (time, polarity) pairs; bucket:
+    bucket width in seconds. Each input is walked once, and a time that goes
+    back (compared as int) is an error.
     """
-    prices = list(prices)
-    if not prices:
-        raise ValueError("cannot merge: price input is empty")
     if bucket <= 0:
         raise ValueError("bucket must be positive")
-
-    p_times = [int(t) for t, _ in prices]
-    if any(b < a for a, b in zip(p_times, p_times[1:])):
-        raise ValueError("price input must be time-ordered")
-
-    def _bucket(t: int) -> int:
-        return -((-t) // bucket)  # ceil(t / bucket)
-
-    last_price: dict[int, float] = {}
-    for t, p in prices:
-        last_price[_bucket(int(t))] = float(p)
+    last_price = dict(_bucketed(prices, bucket, "price"))
+    if not last_price:
+        raise ValueError("cannot merge: price input is empty")
 
     s_sum: dict[int, float] = {}
     s_count: dict[int, int] = {}
-    prev_t = None
-    for t, pol in sentiments:
-        if prev_t is not None and t < prev_t:
-            raise ValueError("sentiment input must be time-ordered")
-        prev_t = t
-        k = _bucket(int(t))
-        s_sum[k] = s_sum.get(k, 0.0) + float(pol)
+    for k, pol in _bucketed(sentiments, bucket, "sentiment"):
+        s_sum[k] = s_sum.get(k, 0.0) + pol
         s_count[k] = s_count.get(k, 0) + 1
 
     ks = sorted(last_price)
@@ -157,6 +141,18 @@ def merge(prices, sentiments, bucket: int) -> MergedSeries:
     price = [last_price[k] for k in ks]
     sentiment = [s_sum[k] / s_count[k] if k in s_count else 0.0 for k in ks]
     return MergedSeries(time, price, sentiment)
+
+
+def _bucketed(pairs, bucket: int, what: str):
+    """Yield (ceil(t / bucket), float(value)) for each (t, value) of one
+    stream, checking that its times never go back."""
+    prev = None
+    for t, value in pairs:
+        t = int(t)
+        if prev is not None and t < prev:
+            raise ValueError(f"{what} input must be time-ordered")
+        prev = t
+        yield -((-t) // bucket), float(value)
 
 
 def fill_missing(series: MergedSeries) -> MergedSeries:
@@ -233,16 +229,18 @@ def to_supervised(series: MergedSeries, lag: int, features: str, scaler: ScalerP
     inputs = np.lib.stride_tricks.sliding_window_view(cols[:-1], lag, axis=0).transpose(0, 2, 1)
     targets = series.price[lag:].copy()
     target_times = series.time[lag:].copy()
-    return SupervisedDataset(inputs, targets, target_times, lag, scaler, names)
+    return SupervisedDataset(inputs, targets, target_times, scaler, names)
 
 
 def train_test_counts(n: int, train_fraction: float = 0.7) -> tuple[int, int]:
     """Chronological split sizes: (floor(train_fraction * n), remainder).
     Every split goes through here, so this is where train_fraction is
-    checked."""
+    checked, and where a split that leaves either side empty is an error."""
     if not 0.0 < train_fraction < 1.0:  # NaN fails the comparison too
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n_train = math.floor(train_fraction * n + 1e-9)
+    if not 0 < n_train < n:
+        raise ValueError(f"train_fraction {train_fraction} splits {n} rows into {n_train} train and {n - n_train} test")
     return n_train, n - n_train
 
 
@@ -250,17 +248,13 @@ def split(
     dataset: SupervisedDataset, train_fraction: float = 0.7
 ) -> tuple[SupervisedDataset, SupervisedDataset]:
     """Chronological train/test split with no shuffling."""
-    n = len(dataset)
-    if n < 2:
-        raise ValueError("need at least 2 samples to split")
-    k, _ = train_test_counts(n, train_fraction)
+    k, _ = train_test_counts(len(dataset), train_fraction)
 
     def _take(sl: slice) -> SupervisedDataset:
         return SupervisedDataset(
             dataset.inputs[sl],
             dataset.targets[sl],
             dataset.target_times[sl],
-            dataset.lag,
             dataset.scaler,
             dataset.feature_names,
         )

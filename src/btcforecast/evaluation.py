@@ -83,11 +83,8 @@ def naive_baseline(times, values, train_fraction: float = 0.7) -> ForecastReport
     fitted, so both timings are 0."""
     times = np.asarray(times)
     values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    n_train, n_test = train_test_counts(n, train_fraction)
-    if n_test < 1 or n_train < 1:
-        raise ValueError("series too short for a naive baseline")
-    predicted = values[n_train - 1 : n - 1]
+    n_train, _ = train_test_counts(len(values), train_fraction)
+    predicted = values[n_train - 1 : -1]
     return ForecastReport.create("naive_last_value", times[n_train:], values[n_train:], predicted)
 
 

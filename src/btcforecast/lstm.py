@@ -86,7 +86,6 @@ class LstmModel:
     bd: np.ndarray
     n_features: int
     hidden_size: int
-    lag: int
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_NAMES}
@@ -125,9 +124,7 @@ def init(config: LstmConfig) -> LstmModel:
     k = 1.0 / np.sqrt(h)
     W = rng.uniform(-k, k, size=(4 * h, h + f))
     Wd = rng.uniform(-k, k, size=(1, h))
-    return LstmModel(
-        W=W, b=np.zeros(4 * h), Wd=Wd, bd=np.zeros(1), n_features=f, hidden_size=h, lag=config.lag
-    )
+    return LstmModel(W=W, b=np.zeros(4 * h), Wd=Wd, bd=np.zeros(1), n_features=f, hidden_size=h)
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -323,8 +320,13 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
         raise ValueError(
             f"dataset has {dataset.inputs.shape[2]} features, config expects {config.n_features}"
         )
-    if dataset.lag != config.lag:
-        raise ValueError(f"dataset lag {dataset.lag} != config lag {config.lag}")
+    if dataset.inputs.shape[1] != config.lag:
+        raise ValueError(f"dataset lag {dataset.inputs.shape[1]} != config lag {config.lag}")
+
+    # numpy imports numpy.random on first use, which takes longer than init
+    # itself: import it before the clock starts, so that build_time_ms times
+    # init alone
+    import numpy.random
 
     t0 = time.perf_counter()
     model = init(config)

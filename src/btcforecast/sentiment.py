@@ -46,10 +46,9 @@ class RawPost:
 
 @dataclass(frozen=True)
 class SentimentRecord:
-    """A processed post: surviving tokens, polarity in [-1, 1], and label."""
+    """A scored post: its timestamp, polarity in [-1, 1], and label."""
 
     timestamp: int
-    tokens: tuple[str, ...]
     polarity: float
     label: str
 
@@ -182,7 +181,6 @@ def process_post(post: RawPost, lexicon: Lexicon) -> SentimentRecord:
     polarity = score_polarity(tokens, lexicon)
     return SentimentRecord(
         timestamp=post.timestamp,
-        tokens=tuple(tokens),
         polarity=polarity,
         label=classify(polarity),
     )

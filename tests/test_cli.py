@@ -133,12 +133,12 @@ class TestErrorPaths:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
-    def test_bad_order_exits_1(self, small_sine, tmp_path, capsys):
-        code = run(
-            ["train-arima", "--data", str(small_sine), "--order", "1,2", "--out-dir", str(tmp_path)]
-        )
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+    def test_bad_order_exits_1(self, small_sine, tmp_path, capfd):
+        for order in ("1,2", "a,1,0", "1,,0"):
+            code = run(
+                ["train-arima", "--data", str(small_sine), "--order", order, "--out-dir", str(tmp_path)]
+            )
+            _assert_one_line_error(capfd, code, repr(order))
 
     @staticmethod
     def _set_field(merged: Path, out: Path, column: int, value: str) -> Path:
@@ -203,6 +203,7 @@ class TestErrorPaths:
         posts.write_text(f'timestamp,source,text\n{-(2**63)},twitter,"btc up"\n99999999999999999999999,twitter,"btc up"\n')
         code = run(["sentiment", "--posts", str(posts), "--out", str(tmp_path / "s.csv")])
         _assert_one_line_error(capfd, code, "posts.csv:3:", "'timestamp'", "64-bit")
+        assert not (tmp_path / "s.csv").exists()  # no post is written before every post has parsed
         posts.write_text(f'timestamp,source,text\n{-(2**63)},twitter,"btc up"\n')
         assert run(["sentiment", "--posts", str(posts), "--out", str(tmp_path / "s.csv")]) == 0
 
@@ -275,6 +276,15 @@ class TestErrorPaths:
         code = run([command, "--data", str(small_sine), "--train-fraction", fraction,
                     "--out-dir", str(tmp_path / "out"), *([] if command == "train-arima" else FAST_LSTM)])
         _assert_one_line_error(capfd, code, "train_fraction")
+
+    # on small_sine (120 rows), 0.005 leaves no training row and
+    # 0.999999999999 no test row: the 1e-9 of the rounding lifts 119.99... to 120
+    @pytest.mark.parametrize("command", ["train-arima", "train-lstm", "evaluate"])
+    @pytest.mark.parametrize("fraction", ["0.005", "0.999999999999"])
+    def test_train_fraction_leaving_a_side_empty_exits_1(self, small_sine, tmp_path, command, fraction, capfd):
+        code = run([command, "--data", str(small_sine), "--train-fraction", fraction,
+                    "--out-dir", str(tmp_path / "out"), *([] if command == "train-arima" else FAST_LSTM)])
+        _assert_one_line_error(capfd, code, f"train_fraction {fraction} splits")
 
     @pytest.mark.parametrize("rate", ["inf", "nan"])
     def test_non_finite_learning_rate_exits_1(self, small_sine, tmp_path, rate, capfd):
@@ -771,16 +781,19 @@ class TestTraceGuard:
     """The benchmark's tracer wraps module attributes; a refactor that calls
     a layer through another name would make its per-layer metric read 0."""
 
-    def test_evaluate_reaches_every_traced_layer(self, tmp_path, small_sine):
+    @staticmethod
+    def _trace(*argvs) -> dict[str, list[tuple[bool, dict | None]]]:
+        """Run each argv through cli.run under the benchmark's tracer; for
+        each span name, whether each of its spans sits under a cli.run span,
+        and the attributes it carries."""
         spans = _perfbench_spans()
         tracer = spans.Tracer()
         spans.instrument(tracer)
         try:
-            code = cli.run(["evaluate", "--data", str(small_sine), "--out-dir", str(tmp_path / "out"),
-                            "--order", "4,1,0", *FAST_LSTM])
+            codes = [cli.run(argv) for argv in argvs]
         finally:
             tracer.restore()
-        assert code == 0
+        assert codes == [0] * len(argvs)
         # each thread keeps its own stack of open spans: a layer called on
         # another thread has no cli.run above it, and the benchmark credits
         # its span to no stage
@@ -793,11 +806,40 @@ class TestTraceGuard:
                     return True
             return False
 
-        for name in ("lstm.train", "lstm.adam_step", "lstm.predict_series", "arima.rolling_forecast",
-                     "arima.fit", "dataset.to_supervised", "evaluation.emit_plot_data"):
-            spans_named = [span for span in tracer.spans if span[2] == name]
-            assert spans_named, name
-            assert all(under_cli_run(span) for span in spans_named), name
+        by_name = {}
+        for span in tracer.spans:
+            by_name.setdefault(span[2], []).append((under_cli_run(span), span[6]))
+        return by_name
+
+    @staticmethod
+    def _assert_under_cli_run(by_name, names) -> None:
+        for name in names:
+            assert by_name.get(name), name
+            assert all(under for under, _ in by_name[name]), name
+
+    def test_evaluate_reaches_every_traced_layer(self, tmp_path, small_sine):
+        by_name = self._trace(["evaluate", "--data", str(small_sine), "--out-dir", str(tmp_path / "out"),
+                               "--order", "4,1,0", *FAST_LSTM])
+        self._assert_under_cli_run(by_name, (
+            "lstm.train", "lstm.adam_step", "lstm.predict_series", "arima.rolling_forecast",
+            "arima.fit", "dataset.to_supervised", "evaluation.emit_plot_data",
+        ))
+
+    def test_sentiment_and_merge_reach_every_traced_layer(self, tmp_path):
+        # the merge span counts its inputs with len(), so cli must pass lists
+        for name in ("posts.csv", "prices.csv"):
+            (tmp_path / name).write_bytes(_VALID_INPUTS[name])
+        by_name = self._trace(
+            ["sentiment", "--posts", str(tmp_path / "posts.csv"), "--out", str(tmp_path / "sent.csv")],
+            ["merge", "--prices", str(tmp_path / "prices.csv"), "--sentiment", str(tmp_path / "sent.csv"),
+             "--bucket-s", "60", "--out", str(tmp_path / "merged.csv")],
+        )
+        self._assert_under_cli_run(by_name, (
+            "sentiment.read_posts", "sentiment.process_post", "sentiment.write_sentiment_log",
+            "sentiment.read_sentiment_log", "dataset.merge",
+        ))
+        # 3 prices and 2 scored posts in, one row per 60 s price bucket out
+        assert [attrs for _, attrs in by_name["dataset.merge"]] == [{"rows_in": 5, "rows_out": 3}]
 
 
 # Runs the CLI with its argv, on one CPU (argv[1] its number) or on all

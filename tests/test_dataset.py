@@ -51,8 +51,10 @@ class TestMerge:
             merge([], [_record(10, 0.5)], bucket=60)
 
     def test_unordered_prices_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^price input must be time-ordered$"):
             merge([(120, 1.0), (60, 2.0)], [], bucket=60)
+        with pytest.raises(ValueError, match="^sentiment input must be time-ordered$"):
+            merge([(60, 1.0), (120, 2.0)], [_record(90, 0.5), _record(30, -0.5)], bucket=60)
 
     @given(
         st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=40),

@@ -449,7 +449,7 @@ def test_multi_feature_with_zero_sentiment_matches_single_feature():
     W2[:, : h + 1] = single.W  # shared hidden + price columns
     multi = LstmModel(
         W=W2, b=single.b.copy(), Wd=single.Wd.copy(), bd=single.bd.copy(),
-        n_features=2, hidden_size=h, lag=3,
+        n_features=2, hidden_size=h,
     )
 
     rng = np.random.default_rng(0)

@@ -204,8 +204,9 @@ class TestProcessPost:
         assert rec.label == NEUTRAL
 
     def test_stage_by_stage_trace(self, example_lexicon):
-        rec = process_post(RawPost(9, "#bitcoin @user https://x.co"), example_lexicon)
-        assert rec.tokens == ("bitcoin", "user", "url")
+        text = "#bitcoin @user https://x.co"
+        assert remove_stopwords(tokenize(normalize_text(text))) == ["bitcoin", "user", "url"]
+        rec = process_post(RawPost(9, text), example_lexicon)
         assert rec.polarity == 0.0
         assert rec.label == NEUTRAL
 
