@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sentiment walkthrough: raw post text to a labeled polarity record.
+"""Sentiment walkthrough: raw post text to a labeled polarity row.
 
 The pipeline runs normalize -> tokenize -> stopword removal -> lexicon
 scoring; the bundled lexicon ships with the package so nothing here
@@ -40,7 +40,7 @@ print(f"polarity:   {polarity:+.3f} -> {classify(polarity)}")
 
 # --- the same thing as one call over a posts file
 print("\nscoring the bundled sample posts:")
-for post in read_posts(FIXTURES / "posts.csv"):
-    record = process_post(post, lexicon)
-    snippet = post.text[:44] + ("..." if len(post.text) > 44 else "")
-    print(f"  {record.label:<8} {record.polarity:+.2f}  {snippet!r}")
+for timestamp, text in read_posts(FIXTURES / "posts.csv"):
+    _, polarity, label = process_post((timestamp, text), lexicon)
+    snippet = text[:44] + ("..." if len(text) > 44 else "")
+    print(f"  {label:<8} {polarity:+.2f}  {snippet!r}")

@@ -22,6 +22,7 @@ import pickle
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -365,14 +366,11 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_sentiment(args) -> int:
     lexicon = sentiment.Lexicon.from_file(args.lexicon) if args.lexicon else sentiment.Lexicon.bundled()
-    posts = sentiment.read_posts(args.posts)
-    records = [sentiment.process_post(p, lexicon) for p in posts]
-    sentiment.write_sentiment_log(args.out, records)
-    counts = {label: 0 for label in (sentiment.POSITIVE, sentiment.NEGATIVE, sentiment.NEUTRAL)}
-    for r in records:
-        counts[r.label] += 1
+    rows = [sentiment.process_post(post, lexicon) for post in sentiment.read_posts(args.posts)]
+    sentiment.write_sentiment_log(args.out, rows)
+    counts = Counter(label for _, _, label in rows)
     print(
-        f"{len(records)} posts scored -> {args.out} "
+        f"{len(rows)} posts scored -> {args.out} "
         f"({counts[sentiment.POSITIVE]} positive, {counts[sentiment.NEGATIVE]} negative, "
         f"{counts[sentiment.NEUTRAL]} neutral)"
     )
@@ -382,7 +380,7 @@ def _cmd_sentiment(args) -> int:
 def _cmd_merge(args) -> int:
     prices = _read_price_stream(Path(args.prices))
     sentiments = sentiment.read_sentiment_log(args.sentiment) if args.sentiment else []
-    merged = merge(prices, [(t, p) for t, p, _ in sentiments], args.bucket_s)
+    merged = merge(prices, sentiments, args.bucket_s)
     merged.to_csv(args.out)
     print(f"{len(merged)} rows -> {args.out}")
     return 0

@@ -37,12 +37,19 @@ class RecordLog:
             # ordering key must advance on every line; only the last is kept
             key = self.columns.index(self._time_column)
             last = _BEFORE_ANY_TIME
+            line = 1  # the header's, when the log holds no record
             for line, values in self._rows():
                 if values[key] <= last:
                     raise ValueError(
                         f"{self.path}:{line}: timestamp {values[key]} does not advance the log (line before: {last})"
                     )
                 last = values[key]
+            # a torn append can still parse (say, cut inside its last text
+            # field), and the next append would be glued onto it
+            with open(self.path, "rb") as f:
+                f.seek(-1, 2)
+                if f.read() != b"\n":
+                    raise ValueError(f"{self.path}:{line}: last line has no line ending (a torn append?)")
             if last != _BEFORE_ANY_TIME:
                 self._last_timestamp = last
         self._handle = open(self.path, "w" if fresh else "a", encoding="utf-8", newline="")

@@ -10,7 +10,8 @@ log-column order, and a record is a dict from log column to value, in
 that order: the row it is written as. A kind says how a field parses:
 text (a JSON string of at most 1024 characters, none a control character
 or a lone surrogate, kept as is), time (the record's ordering key, an
-integer that fits in 64 bits), number (finite) or price (finite and > 0).
+integer that fits in 64 bits, kept exact; a fractional number is
+truncated), number (finite) or price (finite and > 0).
 A record is only built when every field of its schema is present and
 parses, so no partial records ever reach a log, and every record written
 reopens.
@@ -18,6 +19,7 @@ reopens.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -131,6 +133,10 @@ def parse_payload(schema: str, payload: dict) -> dict[str, str | int | float]:
         if kind == PRICE and num <= 0:
             raise SchemaError(key, "must be > 0")
         if kind == TIME:
+            # an integer, or an integer string, stays exact (past 2**53 its
+            # float is rounded); a fractional number is truncated
+            with contextlib.suppress(ValueError):
+                num = int(raw)
             try:
                 num = int64_field(num)
             except ValueError as e:

@@ -1,14 +1,15 @@
 """Tweet/post preprocessing and lexicon-based polarity scoring.
 
 The pipeline is normalize -> tokenize -> stopword removal -> polarity
-score -> label. All functions are pure; records are immutable.
+score -> label, each stage a pure function. A post is a (timestamp, text)
+row, and its score is the log row (timestamp, polarity, label).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import cache
 from importlib import resources
 from operator import itemgetter
@@ -19,8 +20,6 @@ from .table import int64_field, read_table, time_ordered, write_table
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
 NEUTRAL = "Neutral"
-
-POST_COLUMNS = ("timestamp", "source", "text")
 
 # Replacements run in this order; elongation collapse goes last so that
 # stripped hashtags etc. are collapsed in the same pass (keeps
@@ -33,24 +32,6 @@ _ELONGATION_RE = re.compile(r"([^\W\d_])\1{2,}")
 # A token runs from the first to the last word character of a
 # whitespace-separated chunk; chunks without one (emoticons etc.) give none.
 _TOKEN_RE = re.compile(r"\w(?:\S*\w)?")
-
-
-@dataclass(frozen=True)
-class RawPost:
-    """One raw tweet or reddit post. Empty text is allowed (scores neutral)."""
-
-    timestamp: int
-    text: str
-    source: str = "twitter"
-
-
-@dataclass(frozen=True)
-class SentimentRecord:
-    """A scored post: its timestamp, polarity in [-1, 1], and label."""
-
-    timestamp: int
-    polarity: float
-    label: str
 
 
 class Lexicon:
@@ -174,38 +155,34 @@ def classify(polarity: float) -> str:
     return NEUTRAL
 
 
-def process_post(post: RawPost, lexicon: Lexicon) -> SentimentRecord:
-    """Run the full pipeline on one post (the bundled stopword list, the
-    given lexicon), preserving its timestamp."""
-    tokens = remove_stopwords(tokenize(normalize_text(post.text)))
-    polarity = score_polarity(tokens, lexicon)
-    return SentimentRecord(
-        timestamp=post.timestamp,
-        polarity=polarity,
-        label=classify(polarity),
-    )
+def process_post(post: tuple[int, str], lexicon: Lexicon) -> tuple[int, float, str]:
+    """Score one (timestamp, text) post through the full pipeline (the
+    bundled stopword list, the given lexicon): its log row (timestamp,
+    polarity, label)."""
+    timestamp, text = post
+    polarity = score_polarity(remove_stopwords(tokenize(normalize_text(text))), lexicon)
+    return timestamp, polarity, classify(polarity)
 
 
-def read_posts(path: str | Path) -> list[RawPost]:
-    """Read a posts file: header ``timestamp,source,text``, text quoted."""
-    columns = dict(zip(POST_COLUMNS, (int64_field, str, str)))
-    return [
-        RawPost(timestamp=t, text=text, source=source)
-        for _, (t, source, text) in read_table(path, columns)
-    ]
+def read_posts(path: str | Path) -> list[tuple[int, str]]:
+    """The (timestamp, text) rows of a posts file: header
+    ``timestamp,source,text``, text quoted; source is required, not read."""
+    columns = {"timestamp": int64_field, "source": str, "text": str}
+    return [(t, text) for _, (t, _, text) in read_table(path, columns)]
 
 
-def write_sentiment_log(path: str | Path, records: list[SentimentRecord]) -> None:
-    """Write scored records as ``timestamp,polarity,label`` rows."""
-    rows = ([r.timestamp, repr(r.polarity), r.label] for r in records)
-    write_table(path, ["timestamp", "polarity", "label"], rows)
+def write_sentiment_log(path: str | Path, rows: Iterable[tuple[int, float, str]]) -> None:
+    """Write (timestamp, polarity, label) rows as a ``timestamp,polarity,label``
+    log in time order, which merge requires; the sort is stable, so rows of
+    one time keep their order."""
+    write_table(path, ["timestamp", "polarity", "label"], sorted(rows, key=itemgetter(0)))
 
 
-def read_sentiment_log(path: str | Path) -> list[tuple[int, float, str]]:
-    """The (timestamp, polarity, label) rows of a log, which merge buckets in
-    time order: a time that goes back is an error on its line."""
+def read_sentiment_log(path: str | Path) -> list[tuple[int, float]]:
+    """The (timestamp, polarity) pairs of a log, which merge buckets in time
+    order: a time that goes back is an error on its line."""
     columns = {"timestamp": int64_field, "polarity": _polarity, "label": str}
-    return list(time_ordered(path, read_table(path, columns), "sentiment"))
+    return [(t, p) for t, p, _ in time_ordered(path, read_table(path, columns), "sentiment")]
 
 
 def _polarity(field: str) -> float:

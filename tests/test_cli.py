@@ -434,6 +434,23 @@ class TestPipelineCommands:
         assert len(series) == 3
         assert (series.sentiment != 0).any()
 
+    def test_newest_first_posts_merge_as_the_ordered_file(self, tmp_path, fixtures_dir):
+        # tweet exports list the newest post first; the log is written in
+        # time order all the same, which merge requires
+        header, *posts = (fixtures_dir / "posts.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        newest_first = tmp_path / "newest_first.csv"
+        newest_first.write_text(header + "".join(reversed(posts)), encoding="utf-8")
+        prices = tmp_path / "prices.csv"
+        prices.write_text("time,price\n1537528980,1.0\n1537529040,2.0\n1537529100,3.0\n")
+        outputs = []
+        for name, posts_file in (("ordered", fixtures_dir / "posts.csv"), ("newest_first", newest_first)):
+            log, merged = tmp_path / f"sent_{name}.csv", tmp_path / f"merged_{name}.csv"
+            assert run(["sentiment", "--posts", str(posts_file), "--out", str(log)]) == 0
+            assert run(["merge", "--prices", str(prices), "--sentiment", str(log),
+                        "--bucket-s", "60", "--out", str(merged)]) == 0
+            outputs.append((log.read_bytes(), merged.read_bytes()))
+        assert outputs[1] == outputs[0]
+
     def test_train_lstm_writes_outputs(self, tmp_path, small_sine):
         out_dir = tmp_path / "out"
         code = run(["train-lstm", "--data", str(small_sine), "--out-dir", str(out_dir), *FAST_LSTM])

@@ -178,6 +178,7 @@ class TestParsePayload:
         ("volume", False),
         ("timestamp", "1e30"),  # past 64 bits
         ("timestamp", 2**63),
+        ("timestamp", -(2**63) - 1),  # its float is -2**63, which fits
     ])
     def test_value_outside_its_kind_names_the_key(self, bitstamp_payload, key, value):
         with pytest.raises(SchemaError, match=key) as info:
@@ -233,6 +234,22 @@ class TestParsePayload:
         else:
             _assert_record_of(schema, record)
             _assert_log_round_trip(schema, record)
+
+    @pytest.mark.parametrize("created, expected", [
+        (1700000000123456789, 1700000000123456789),  # nanoseconds: its float ends in ...768
+        ("1700000000123456789", 1700000000123456789),
+        (2**63 - 1, 2**63 - 1),  # its float is 2**63
+        (-(2**63), -(2**63)),
+        (1537528988.9, 1537528988),  # a fractional number is truncated
+        ("1537528988.9", 1537528988),
+    ], ids=["ns", "ns-string", "2**63-1", "-2**63", "fractional", "fractional-string"])
+    def test_integer_time_stays_exact_through_the_log(self, tmp_path, created, expected):
+        record = parse_payload(BLOCKCHAIN_QUOTES, FIRST_PAYLOADS[BLOCKCHAIN_QUOTES] | {"created": created})
+        assert record["created"] == expected
+        with RecordLog(tmp_path / "quotes.csv", BLOCKCHAIN_QUOTES) as log:
+            log.append(record)
+        with RecordLog(tmp_path / "quotes.csv", BLOCKCHAIN_QUOTES) as log:
+            assert log.read() == [record]
 
     def test_every_table_field_has_one_home(self):
         # Table 2 -> the ticker log, Table 1 -> split across the two
@@ -326,6 +343,20 @@ class TestRecordLog:
         self._log_with(path, bitstamp_payload, 4, tail="6542.61,6502.61,15000")
         with pytest.raises(ValueError, match=r"ticks\.csv:6: expected 10 fields, got 3"):
             RecordLog(path, BITSTAMP_TICKER)
+
+    @pytest.mark.parametrize("records, cut, line", [(2, 4, 3), (2, 1, 3), (0, 1, 1)],
+                             ids=["inside-the-last-field", "the-line-ending", "the-header-line-ending"])
+    def test_reopen_rejects_a_last_line_without_a_line_ending(self, tmp_path, bitstamp_payload, records, cut, line):
+        # a torn append that still parses: the next append would be glued
+        # onto it, and the log would then no longer reopen
+        path = tmp_path / "ticks.csv"
+        self._log_with(path, bitstamp_payload, records)
+        torn = path.read_bytes()[:-cut]
+        path.write_bytes(torn)
+        expected = rf"^{re.escape(str(path))}:{line}: last line has no line ending \(a torn append\?\)$"
+        with pytest.raises(ValueError, match=expected):
+            RecordLog(path, BITSTAMP_TICKER)
+        assert path.read_bytes() == torn
 
     def test_reopen_rejects_unparseable_field(self, tmp_path, bitstamp_payload):
         path = tmp_path / "ticks.csv"

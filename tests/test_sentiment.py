@@ -13,15 +13,16 @@ from btcforecast.sentiment import (
     NEUTRAL,
     POSITIVE,
     Lexicon,
-    RawPost,
     classify,
     load_stopwords,
     normalize_text,
     process_post,
     read_posts,
+    read_sentiment_log,
     remove_stopwords,
     score_polarity,
     tokenize,
+    write_sentiment_log,
 )
 
 
@@ -192,23 +193,23 @@ class TestClassify:
 
 class TestProcessPost:
     def test_positive_post(self, example_lexicon):
-        rec = process_post(RawPost(100, "bitcoin is good"), example_lexicon)
-        assert rec.timestamp == 100
-        assert rec.polarity == pytest.approx(0.7)
-        assert rec.label == POSITIVE
+        timestamp, polarity, label = process_post((100, "bitcoin is good"), example_lexicon)
+        assert timestamp == 100
+        assert polarity == pytest.approx(0.7)
+        assert label == POSITIVE
 
     def test_empty_post_neutral(self, example_lexicon):
-        rec = process_post(RawPost(5, ""), example_lexicon)
-        assert rec.timestamp == 5
-        assert rec.polarity == 0.0
-        assert rec.label == NEUTRAL
+        timestamp, polarity, label = process_post((5, ""), example_lexicon)
+        assert timestamp == 5
+        assert polarity == 0.0
+        assert label == NEUTRAL
 
     def test_stage_by_stage_trace(self, example_lexicon):
         text = "#bitcoin @user https://x.co"
         assert remove_stopwords(tokenize(normalize_text(text))) == ["bitcoin", "user", "url"]
-        rec = process_post(RawPost(9, text), example_lexicon)
-        assert rec.polarity == 0.0
-        assert rec.label == NEUTRAL
+        _, polarity, label = process_post((9, text), example_lexicon)
+        assert polarity == 0.0
+        assert label == NEUTRAL
 
 
 class TestLexicon:
@@ -254,7 +255,12 @@ def test_stopword_list_has_canonical_words():
 def test_posts_file_roundtrip(tmp_path):
     path = tmp_path / "posts.csv"
     path.write_bytes(b'timestamp,source,text\n10,twitter,"btc says ""buy"""\n20,reddit,"plain text, with commas"\n')
-    assert read_posts(path) == [
-        RawPost(10, 'btc says "buy"', "twitter"),
-        RawPost(20, "plain text, with commas", "reddit"),
-    ]
+    assert read_posts(path) == [(10, 'btc says "buy"'), (20, "plain text, with commas")]
+
+
+def test_sentiment_log_is_written_in_time_order(tmp_path):
+    # a stable sort: rows of one time keep their order
+    path = tmp_path / "sent.csv"
+    write_sentiment_log(path, [(20, 0.5, POSITIVE), (10, -0.25, NEGATIVE), (10, 0.0, NEUTRAL)])
+    assert path.read_bytes() == b"timestamp,polarity,label\n10,-0.25,Negative\n10,0.0,Neutral\n20,0.5,Positive\n"
+    assert read_sentiment_log(path) == [(10, -0.25), (10, 0.0), (20, 0.5)]

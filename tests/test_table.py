@@ -6,7 +6,7 @@ import pytest
 
 from btcforecast.dataset import MergedSeries
 from btcforecast.evaluation import ForecastReport, compare, emit_plot_data
-from btcforecast.sentiment import SentimentRecord, write_sentiment_log
+from btcforecast.sentiment import write_sentiment_log
 from btcforecast.table import HeaderError, read_table
 
 COLUMNS = {"time": int, "price": float}
@@ -48,7 +48,7 @@ def _writers():
     """(name, write(path), expected bytes) of every writer built on
     write_table; the bytes were recorded before the writers shared it."""
     series = MergedSeries([60, 120, 180], [6500.5, math.nan, 1 / 3], [0.1, -1.0, 0.0])
-    records = [SentimentRecord(5, 0.7, "Positive"), SentimentRecord(9, -1 / 3, "Negative")]
+    records = [(5, 0.7, "Positive"), (9, -1 / 3, "Negative")]
     report = ForecastReport.create("arima(1,1,1)", [60, 120], [1.5, 0.1], [1.25, 0.2], 0.5, 12.25)
     naive = ForecastReport.create("naive_last_value", [60, 120], [1.5, 0.1], [1.5, 1.5])
     trained = ForecastReport.create("lstm_single", [60, 120], [1.5, 0.1], [1.25, 0.2], losses=[0.5, 1e-7, 2 / 3])
