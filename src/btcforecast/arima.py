@@ -35,11 +35,6 @@ _GN_TOL = 1e-10
 # a rolling AR refit whose equilibrated Gram matrix has a smaller eigenvalue
 # ratio is left to lstsq in fit (see _rolling_ar_forecasts)
 _MIN_GRAM_RATIO = 1e-6
-# Newton's doubling of the inverse-MA impulse response hands over to the
-# recursion once the residual on the half it already holds passes this many
-# rounding units of a * h: near repeated unit-circle MA roots each doubling
-# multiplies the error of that half by hundreds instead of correcting it
-_NEWTON_DRIFT = 1e3 * np.finfo(np.float64).eps
 
 
 class ArimaFitError(RuntimeError):
@@ -168,32 +163,13 @@ def _css(
 
     With u = y - X beta_ar, a(L) e = u for a = 1 + ma(L), so e = h * u and
     J = h * -[X, e_{t-1..t-q}] column by column, h the impulse response of
-    1 / a(L). Newton's iteration h <- h + h (1 - a h), on the whole residual
-    so that rounding is corrected, not compounded, doubles h until its newest
-    half (at least q terms) sums below 1e-17 in absolute value or h reaches n.
-    Where the residual on the half h already holds grows instead (repeated MA
-    roots near the unit circle), the recursion h_t = -sum_j ma_j h_{t-1-j}
-    finishes h from the half that the doubling before checked. With q = 1, h
-    is geometric and that residual grows only in proportion to h's length
-    (about 1e3 rounding units at 16384 terms for ma = 1.001 or 1.01), so it
-    is not checked.
+    1 / a(L) (_impulse_response).
     """
     n, k_ar = X.shape
     pred = np.zeros(n)
     for i in range(k_ar):  # column by column: c + ar_0 w_{t-1} + ... in index order
         pred += beta[i] * X[:, i]
-    a, h = np.concatenate([[1.0], beta[k_ar:]]), np.ones(1)
-    rounding = _NEWTON_DRIFT * np.abs(a).sum() if len(a) > 2 else 0.0  # 0: q = 1, not checked
-    while len(h) < n:
-        m, size = len(h), min(2 * len(h), n)
-        residual = -np.convolve(a, h)[:size]
-        residual[0] += 1.0
-        if rounding and np.abs(residual[:m]).max() > rounding * np.abs(h).max():
-            h = _impulse_by_recursion(a, h[: m // 2], n)
-            break
-        h = np.concatenate([h, np.zeros(size - m)]) + np.convolve(h, residual)[:size]
-        if m >= len(a) - 1 and np.abs(h[m:]).sum() < 1e-17:
-            break
+    h = _impulse_response(beta[k_ar:], n)
     eps = np.convolve(y - pred, h)[:n]
     if not jacobian:
         return eps, None
@@ -206,15 +182,19 @@ def _css(
     return eps, jac
 
 
-def _impulse_by_recursion(a: np.ndarray, head: np.ndarray, n: int) -> np.ndarray:
-    """The first n terms of the impulse response of 1 / a(L), a[0] = 1,
-    continued from its first len(head) terms one step at a time."""
-    neg_ma, h = (-a[1:]).tolist(), head.tolist()
-    for _ in range(len(h), n):
+def _impulse_response(ma: np.ndarray, n: int) -> np.ndarray:
+    """The impulse response of 1 / (1 + ma(L)) by the recursion h_0 = 1,
+    h_t = -sum_j ma_j h_{t-1-j}, cut at n terms or once q = len(ma) terms in
+    a row are below 1e-17 in absolute value. Those q terms are the
+    recursion's whole state, so leading zero coefficients cannot end it."""
+    neg_ma, q = (-ma).tolist(), len(ma)
+    h, small = [1.0], 0
+    while len(h) < n and small < q:
         acc = 0.0
         for coeff, past in zip(neg_ma, reversed(h)):  # h_{t-1}, h_{t-2}, ...
             acc += coeff * past
         h.append(acc)
+        small = small + 1 if abs(acc) < 1e-17 else 0
     return np.array(h)
 
 

@@ -67,21 +67,34 @@ class MergedSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MergedSeries":
+        """Each row is checked on its line: a time that does not exceed the
+        one before, an infinite price or a sentiment outside [-1, 1] is an
+        error naming the file and the line."""
         time, price, sentiment = [], [], []
-        columns = dict(zip(COLUMNS, (int64_field, _float_or_nan, _float_or_nan)))
-        for _, (t, p, s) in read_table(path, columns, exact=True):
+        columns = dict(zip(COLUMNS, (int64_field, _price_or_gap, _sentiment_or_gap)))
+        for line, (t, p, s) in read_table(path, columns, exact=True):
+            if time and t <= time[-1]:
+                raise ValueError(f"{path}:{line}: timestamps must be strictly increasing and unique ({t} after {time[-1]})")
             time.append(t)
             price.append(p)
             sentiment.append(s)
-        try:
-            return cls(time, price, sentiment)
-        except ValueError as e:
-            raise ValueError(f"{path}: {e}") from None
+        return cls(time, price, sentiment)
 
 
-def _float_or_nan(field: str) -> float:
+def _price_or_gap(field: str) -> float:
     """An empty field marks a gap."""
-    return float(field) if field else math.nan
+    price = float(field) if field else math.nan
+    if math.isinf(price):
+        raise ValueError(f"price must not be infinite (NaN marks a gap), got {price}")
+    return price
+
+
+def _sentiment_or_gap(field: str) -> float:
+    """An empty field marks a gap."""
+    sentiment = float(field) if field else math.nan
+    if abs(sentiment) > 1.0:
+        raise ValueError(f"sentiment must lie in [-1, 1] (NaN marks a gap), got {sentiment}")
+    return sentiment
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,8 @@ def _source_config(entry) -> SourceConfig:
         raise ValueError(f"'name' must not contain '/', got {entry['name']!r}")
     interval = entry.get("poll_interval_s", 60.0)
     try:
+        if isinstance(interval, bool):  # float(True) would read as 1.0
+            raise TypeError
         interval = float(interval)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"'poll_interval_s' must be a number, got {interval!r}") from None

@@ -10,6 +10,7 @@ from btcforecast.arima import (
     ArimaFitError,
     ArimaOrder,
     _css,
+    _impulse_response,
     _lag_matrix,
     fit,
     forecast_one,
@@ -380,10 +381,25 @@ def test_css_matches_the_scalar_recursion_at_the_edges(ma, n):
     region: up to the unit root and a little past it the innovations stay
     finite and match, and where the recursion overflows the SSE is not
     finite. Near a repeated root on the unit circle, a = (1 - 0.98L)^3,
-    Newton's doubling of the impulse response would grow its error
-    instead of correcting it."""
+    the impulse response grows before it decays and runs to thousands of
+    terms."""
     w = np.random.default_rng(n).normal(0.0, 20.0, size=n)
     _assert_css_matches_reference(w[1:], _lag_matrix(w, 1, True), np.array([0.5, 0.6, *ma]))
+
+
+@pytest.mark.parametrize("ma,length", [([0.3], 34), ([0.0, 0.0, -0.7], 331), ([0.99], 500)])
+def test_impulse_response_stops_at_q_terms_below_1e_17(ma, length):
+    """The recursion ends at the first q terms in a row below 1e-17 in
+    absolute value: at theta = 0.3 that is its 34th term, 0.3^33; with
+    ma = [0, 0, -0.7] the zeros between the powers of 0.7 do not end it
+    before 0.7^110; at theta = 0.99 it runs to n."""
+    h = _impulse_response(np.array(ma), 500)
+    assert len(h) == length
+    small = np.abs(h) < 1e-17
+    q = len(ma)
+    windows = [small[t : t + q].all() for t in range(1, len(h) - q + 1)]  # h_0 = 1 is never small
+    assert not any(windows[:-1])
+    assert windows[-1] == (length < 500)
 
 
 def test_estimates_converge_with_sample_size():

@@ -314,6 +314,7 @@ class TestErrorPaths:
         ([dict(_SOURCE, poll_interval_s=math.inf)], "cfg.json: entry 0: poll_interval"),
         ([_SOURCE, _SOURCE], "cfg.json: entry 1: duplicate name"),
         ([dict(_SOURCE, name="../a")], "cfg.json: entry 0: 'name'"),  # would write outside --out-dir
+        ([dict(_SOURCE, poll_interval_s=True)], "cfg.json: entry 0: 'poll_interval_s'"),  # not 1 s
     ])
     def test_malformed_ingest_config_names_file_and_entry(self, tmp_path, config, where, capfd):
         path = tmp_path / "cfg.json"
