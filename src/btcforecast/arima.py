@@ -75,7 +75,7 @@ class ArimaModel:
     ar_coeffs: np.ndarray
     ma_coeffs: np.ndarray
     sigma2: float
-    diff_tail: np.ndarray = field(repr=False)     # trailing values of the differenced series
+    diff_tail: np.ndarray = field(repr=False)     # trailing p values of the differenced series
     resid_tail: np.ndarray = field(repr=False)    # trailing q residuals
     level_tails: np.ndarray = field(repr=False)   # last value of each differencing level 0..d-1
 
@@ -104,32 +104,6 @@ class ArimaModel:
                 "ma root moduli: " + " ".join(f"{v:.4g}" for v in self.ma_root_moduli())
             )
         return "\n".join(lines)
-
-    def with_observation(self, y_new: float) -> "ArimaModel":
-        """Append one true observation to the history tail without refitting."""
-        levels = list(self.level_tails)
-        value = float(y_new)
-        new_levels = []
-        for j in range(self.order.d):
-            new_levels.append(value)
-            value = value - levels[j]
-        w_new = value  # d-th difference of the appended observation
-        pred = _one_step_diff(self)
-        diff_tail = np.append(self.diff_tail, w_new)
-        keep = max(self.order.p, 1)
-        resid_tail = self.resid_tail
-        if self.order.q:
-            resid_tail = np.append(resid_tail, w_new - pred)[-self.order.q :]
-        return ArimaModel(
-            order=self.order,
-            intercept=self.intercept,
-            ar_coeffs=self.ar_coeffs,
-            ma_coeffs=self.ma_coeffs,
-            sigma2=self.sigma2,
-            diff_tail=diff_tail[-keep:],
-            resid_tail=resid_tail,
-            level_tails=np.array(new_levels),
-        )
 
 
 def _root_moduli(coeffs: np.ndarray) -> np.ndarray:
@@ -240,14 +214,13 @@ def fit(series: np.ndarray, order: ArimaOrder, include_intercept: bool = True) -
         ar, ma = beta[k : k + p], beta[k + p :]
 
     sigma2 = float(np.mean(resid**2)) if len(resid) else 0.0
-    keep = max(p, 1)
     return ArimaModel(
         order=order,
         intercept=c,
         ar_coeffs=ar,
         ma_coeffs=ma,
         sigma2=sigma2,
-        diff_tail=w[-keep:].copy(),
+        diff_tail=w[len(w) - p :].copy(),
         resid_tail=resid[-q:].copy() if q else np.array([]),
         level_tails=np.array([level[-1] for level in levels[:d]]),
     )
@@ -288,21 +261,14 @@ def _fit_css_gauss_newton(
     raise ArimaFitError(f"no convergence after {_GN_MAX_ITER} iterations; last objective {sse:.6g}")
 
 
-def _one_step_diff(model: ArimaModel) -> float:
-    """One-step forecast in differenced space."""
+def forecast_one(model: ArimaModel) -> float:
+    """Next value in original units: forecast the d-th difference, then
+    integrate against the retained level tails."""
     pred = model.intercept
     for i in range(model.order.p):
         pred += model.ar_coeffs[i] * model.diff_tail[-1 - i]
     for j in range(model.order.q):
-        if j < len(model.resid_tail):
-            pred += model.ma_coeffs[j] * model.resid_tail[-1 - j]
-    return float(pred)
-
-
-def forecast_one(model: ArimaModel) -> float:
-    """Next value in original units: forecast the d-th difference, then
-    integrate against the retained level tails."""
-    pred = _one_step_diff(model)
+        pred += model.ma_coeffs[j] * model.resid_tail[-1 - j]
     for level in model.level_tails[::-1]:
         pred += level
     return float(pred)
@@ -317,6 +283,7 @@ def rolling_forecast(
 ) -> np.ndarray:
     """Static one-step forecasts over the test range: fit on the training
     prefix, then forecast / append the true value / refit, per test point.
+    With refit once, the training fit forecasts every point (_forecasts).
 
     With refit always, q = 0 and p >= 1, the refits after the first are
     solved in one batch (_rolling_ar_forecasts); only a prefix whose scaled
@@ -336,18 +303,37 @@ def rolling_forecast(
             raise ArimaFitError(f"fit failed at index {end}: {e}") from e
 
     model = _fit_prefix(n_train)
+    if refit == REFIT_ONCE:  # the fit's CSS innovations, run on past the training end
+        levels = _difference_levels(series, order.d)
+        w = levels[-1]
+        beta = np.concatenate([[model.intercept] if include_intercept else [], model.ar_coeffs, model.ma_coeffs])
+        eps, _ = _css(w[order.p :], _lag_matrix(w, order.p, include_intercept), beta)
+        return _forecasts(levels, np.arange(n_train, n), model.intercept, model.ar_coeffs, model.ma_coeffs, eps)
     preds = np.empty(n_test)
-    if refit == REFIT_ALWAYS and order.q == 0 and order.p >= 1:
-        preds[0] = forecast_one(model)
+    preds[0] = forecast_one(model)
+    if order.q == 0 and order.p >= 1:
         preds[1:] = _rolling_ar_forecasts(series, order, include_intercept, n_train, _fit_prefix)
-        return preds
-    for k, i in enumerate(range(n_train, n)):
-        preds[k] = forecast_one(model)
-        if i + 1 < n:
-            if refit == REFIT_ALWAYS:
-                model = _fit_prefix(i + 1)
-            else:
-                model = model.with_observation(series[i])
+    else:
+        for k in range(1, n_test):
+            preds[k] = forecast_one(_fit_prefix(n_train + k))
+    return preds
+
+
+def _forecasts(levels: list[np.ndarray], ends: np.ndarray, intercept, ar, ma, eps) -> np.ndarray:
+    """forecast_one for each prefix series[:e], e in ends, of the series
+    with these differencing levels, summed in forecast_one's order. The
+    intercept and the last axis of ar broadcast over the prefixes: one model,
+    or one row per prefix. The MA terms read eps, the CSS innovations of
+    w[p:] (zero before the sample), so forecast e reads no value from e on."""
+    d, p = len(levels) - 1, ar.shape[-1]
+    last = ends - d - 1  # index in w of each prefix's last difference
+    preds = np.full(len(ends), intercept, dtype=np.float64)
+    for i in range(p):
+        preds += ar[..., i] * levels[d][last - i]
+    for j in range(len(ma)):
+        preds += ma[j] * eps[last - p - j]
+    for j in reversed(range(d)):
+        preds += levels[j][ends - 1 - j]
     return preds
 
 
@@ -364,8 +350,7 @@ def _rolling_ar_forecasts(
     Gram has an eigenvalue ratio of at least _MIN_GRAM_RATIO is solved in
     one batched np.linalg.solve. The rest (rank-deficient designs, where
     fit's minimum-norm lstsq answer matters, constant differences, which
-    fit warns about, and non-finite values) go through fit_prefix.
-    Forecasts are summed in _one_step_diff / forecast_one order."""
+    fit warns about, and non-finite values) go through fit_prefix."""
     p, d = order.p, order.d
     levels = _difference_levels(series, d)
     w = levels[d]
@@ -387,14 +372,9 @@ def _rolling_ar_forecasts(
     fast = usable & (eig[:, 0] >= _MIN_GRAM_RATIO * eig[:, -1])
     beta = np.linalg.solve(gram[fast], moment[fast][:, :, None])[:, :, 0] * scale[fast]
 
-    k = int(include_intercept)
-    preds = beta[:, 0].copy() if include_intercept else np.zeros(len(beta))
-    for i in range(p):
-        preds += beta[:, k + i] * w[last[fast] - i]
-    for j in reversed(range(d)):
-        preds += levels[j][ends[fast] - 1 - j]
     out = np.empty(len(ends))
-    out[fast] = preds
+    intercept = beta[:, 0] if include_intercept else 0.0
+    out[fast] = _forecasts(levels, ends[fast], intercept, beta[:, int(include_intercept) :], (), None)
     for j in np.flatnonzero(~fast):
         out[j] = forecast_one(fit_prefix(int(ends[j])))
     return out

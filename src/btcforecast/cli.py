@@ -43,13 +43,6 @@ from .dataset import (
 )
 from .table import HeaderError, int64_field, read_table, time_ordered
 
-FIXTURES_ENV = "BTCFORECAST_FIXTURES"
-
-
-def default_fixtures_dir() -> Path:
-    return Path(os.environ.get(FIXTURES_ENV, "fixtures"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="btcforecast",
@@ -113,8 +106,8 @@ def _positive_int(field: str) -> int:
 def _add_data_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--data",
-        default=None,
-        help="merged CSV (time,price,sentiment); default: <fixtures>/sine.csv",
+        default="fixtures/sine.csv",
+        help="merged CSV (time,price,sentiment)",
     )
     p.add_argument("--train-fraction", type=float, default=0.7, help="chronological split")
 
@@ -138,7 +131,7 @@ def _add_arima_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_series(args) -> MergedSeries:
-    path = Path(args.data) if args.data else default_fixtures_dir() / "sine.csv"
+    path = Path(args.data)
     if not path.exists():
         raise FileNotFoundError(f"input file not found: {path}")
     return fill_missing(MergedSeries.from_csv(path))
@@ -159,8 +152,8 @@ def _read_price_stream(path: Path) -> list[tuple[int, float]]:
 
 def _finite_price(field: str) -> float:
     price = float(field)
-    if not math.isfinite(price):
-        raise ValueError(f"price must be finite, got {price}")
+    if not (math.isfinite(price) and price > 0):
+        raise ValueError(f"price must be finite and > 0, got {price}")
     return price
 
 

@@ -193,14 +193,23 @@ class TestRollingForecast:
         naive_rmse = naive_baseline(series.time, series.price).rmse
         assert arima_rmse < naive_rmse
 
-    def test_no_leakage(self):
+    @pytest.mark.parametrize("refit, p, d, q", [
+        ("always", 2, 0, 0),
+        ("once", 2, 0, 0),
+        pytest.param("always", 1, 1, 1, marks=pytest.mark.xfail(
+            raises=ArimaFitError, strict=True,
+            reason="a refit after the outlier does not converge, which aborts the whole forecast")),
+        ("once", 1, 1, 1),
+    ])
+    def test_no_leakage(self, refit, p, d, q):
         y = random_walk(120, seed=4)
-        base = rolling_forecast(y, ArimaOrder(2, 0, 0))
+        order = ArimaOrder(p, d, q)
+        base = rolling_forecast(y, order, refit=refit)
         n_train, n_test = train_test_counts(120)
         for j in (n_test - 1, n_test // 2):
             mutated = y.copy()
             mutated[n_train + j] += 1000.0
-            changed = rolling_forecast(mutated, ArimaOrder(2, 0, 0))
+            changed = rolling_forecast(mutated, order, refit=refit)
             assert np.array_equal(changed[: j + 1], base[: j + 1])
 
     def test_refit_once_mode(self):
@@ -211,6 +220,37 @@ class TestRollingForecast:
         )
         # with no parameters to re-estimate the two modes coincide
         assert np.allclose(always, once)
+
+    @pytest.mark.parametrize("p, d, q", [(1, 0, 1), (0, 1, 2), (1, 1, 1), (2, 2, 1)])
+    @pytest.mark.parametrize("include_intercept", [True, False])
+    def test_refit_once_matches_the_css_recursion(self, p, d, q, include_intercept):
+        """With refit once, the forecast of series[e] is forecast_one's sum
+        over the training fit's coefficients, its MA terms read from the
+        scalar CSS recursion run over the whole series."""
+        e = np.random.default_rng(d).normal(0.0, 2.0, 201)
+        series = np.zeros(200)
+        for t in range(1, 200):
+            series[t] = 0.5 * series[t - 1] + e[t + 1] + 0.4 * e[t]
+        for _ in range(d):
+            series = 100.0 + np.cumsum(series)
+        order = ArimaOrder(p, d, q)
+        n_train, _ = train_test_counts(200)
+        model = fit(series[:n_train], order, include_intercept)
+        w = np.diff(series, d)
+        beta = np.concatenate([[model.intercept] if include_intercept else [], model.ar_coeffs, model.ma_coeffs])
+        eps, _ = reference_css(w[p:], _lag_matrix(w, p, include_intercept), beta)
+        expected = []
+        for end in range(n_train, 200):
+            pred = model.intercept
+            for i in range(p):
+                pred += model.ar_coeffs[i] * w[end - d - 1 - i]
+            for j in range(q):
+                pred += model.ma_coeffs[j] * eps[end - d - 1 - p - j]
+            for level in reversed(range(d)):
+                pred += np.diff(series[:end], level)[-1]
+            expected.append(pred)
+        once = rolling_forecast(series, order, include_intercept=include_intercept, refit="once")
+        _assert_close_to(once, np.array(expected))
 
     def test_fit_error_reports_index(self):
         y = random_walk(40, seed=2)

@@ -244,7 +244,10 @@ class TestErrorPaths:
         code = run(["train-arima", "--data", str(bad), "--out-dir", str(tmp_path / "out")])
         _assert_one_line_error(capfd, code, "sent3.csv", "[-1, 1]")
 
-    @pytest.mark.parametrize("row, column", [("120,inf", "'price'"), ("1" + "0" * 24 + ",100.5", "'time'")])
+    @pytest.mark.parametrize(
+        "row, column",
+        [("120,inf", "'price'"), ("120,0", "'price'"), ("120,-5", "'price'"), ("1" + "0" * 24 + ",100.5", "'time'")],
+    )
     def test_bad_price_row_names_file_line_and_column(self, tmp_path, row, column, capfd):
         prices = tmp_path / "prices.csv"
         prices.write_text(f"time,price\n60,100.5\n{row}\n")
