@@ -20,7 +20,7 @@ print(model.summary())
 # --- differencing handles trend: (0,1,0) on a linear ramp learns the slope
 ramp = np.arange(1.0, 40.0)
 model = fit(ramp, ArimaOrder(0, 1, 0))
-print(f"\nlinear ramp: drift {model.intercept:.3f}, next forecast {forecast_one(model):.1f}")
+print(f"\nlinear ramp: drift {model.intercept:.3f}, next forecast {forecast_one(model, ramp):.1f}")
 
 # --- rolling one-step forecasts on a random walk collapse to last-value
 walk = random_walk(600, sigma=2.0, seed=5, start=100.0)

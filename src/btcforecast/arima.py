@@ -3,8 +3,10 @@
 Estimation: d-th differences, then OLS for pure AR models (q = 0) or
 conditional sum-of-squares (CSS) Gauss-Newton for q > 0 from the AR-only OLS
 solution. Its innovations (zero before the sample) and their Jacobian are one
-inverse-MA filter, cut where its impulse response has decayed. Forecasts are
-one-step-ahead in differenced space, integrated back against the series tail.
+inverse-MA filter, cut where its impulse response has decayed. A fitted
+model is its coefficients. A forecast of the value after a series is one CSS
+pass over that series with those coefficients, then one formula: the
+one-step forecast in differenced space, integrated back against the series.
 
 A rolling forecast that refits a pure AR model (p >= 1) at every step fits
 the training prefix as above, then solves every later prefix at once from
@@ -19,7 +21,7 @@ one by one, with the same bits as before.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,16 +70,13 @@ class ArimaOrder:
 
 @dataclass
 class ArimaModel:
-    """Fitted coefficients plus the history tail forecasting needs."""
+    """Fitted coefficients; forecast_one applies them to a series."""
 
     order: ArimaOrder
-    intercept: float
+    intercept: float  # 0.0 when fit without one
     ar_coeffs: np.ndarray
     ma_coeffs: np.ndarray
     sigma2: float
-    diff_tail: np.ndarray = field(repr=False)     # trailing p values of the differenced series
-    resid_tail: np.ndarray = field(repr=False)    # trailing q residuals
-    level_tails: np.ndarray = field(repr=False)   # last value of each differencing level 0..d-1
 
     def ar_root_moduli(self) -> np.ndarray:
         """Moduli of the AR characteristic roots (stationary iff all > 1)."""
@@ -198,11 +197,8 @@ def fit(series: np.ndarray, order: ArimaOrder, include_intercept: bool = True) -
     """Estimate an ARIMA model on the given series."""
     series = np.asarray(series, dtype=np.float64)
     p, d, q = order.p, order.d, order.q
-    if len(series) <= d + p + q + 1:
-        raise ValueError(f"series of length {len(series)} too short for order {order}")
-
-    levels = _difference_levels(series, d)
-    w = levels[d]
+    _check_length(len(series), order)
+    w = _difference_levels(series, d)[d]
     c, ar, resid = _fit_ar_ols(w, p, include_intercept)
     ma = np.zeros(q)
 
@@ -214,16 +210,13 @@ def fit(series: np.ndarray, order: ArimaOrder, include_intercept: bool = True) -
         ar, ma = beta[k : k + p], beta[k + p :]
 
     sigma2 = float(np.mean(resid**2)) if len(resid) else 0.0
-    return ArimaModel(
-        order=order,
-        intercept=c,
-        ar_coeffs=ar,
-        ma_coeffs=ma,
-        sigma2=sigma2,
-        diff_tail=w[len(w) - p :].copy(),
-        resid_tail=resid[-q:].copy() if q else np.array([]),
-        level_tails=np.array([level[-1] for level in levels[:d]]),
-    )
+    return ArimaModel(order=order, intercept=c, ar_coeffs=ar, ma_coeffs=ma, sigma2=sigma2)
+
+
+def _check_length(n: int, order: ArimaOrder) -> None:
+    """The one length rule of fit and forecast_one."""
+    if n <= order.d + order.p + order.q + 1:
+        raise ValueError(f"series of length {n} too short for order {order}")
 
 
 def _fit_css_gauss_newton(
@@ -261,17 +254,24 @@ def _fit_css_gauss_newton(
     raise ArimaFitError(f"no convergence after {_GN_MAX_ITER} iterations; last objective {sse:.6g}")
 
 
-def forecast_one(model: ArimaModel) -> float:
-    """Next value in original units: forecast the d-th difference, then
-    integrate against the retained level tails."""
-    pred = model.intercept
-    for i in range(model.order.p):
-        pred += model.ar_coeffs[i] * model.diff_tail[-1 - i]
-    for j in range(model.order.q):
-        pred += model.ma_coeffs[j] * model.resid_tail[-1 - j]
-    for level in model.level_tails[::-1]:
-        pred += level
-    return float(pred)
+def forecast_one(model: ArimaModel, series: np.ndarray) -> float:
+    """The model's forecast of the value after series, in original units."""
+    series = np.asarray(series, dtype=np.float64)
+    _check_length(len(series), model.order)
+    return float(_model_forecasts(model, series, [len(series)])[0])
+
+
+def _model_forecasts(model: ArimaModel, series: np.ndarray, ends) -> np.ndarray:
+    """forecast_one(model, series[:e]) for each e in ends: one CSS pass over
+    the whole series with the model's coefficients, then _forecasts. The
+    lag matrix always has the intercept column; without an intercept its
+    coefficient is 0.0, which leaves every innovation's bits as fit's."""
+    p, d = model.order.p, model.order.d
+    levels = _difference_levels(series, d)
+    w = levels[d]
+    beta = np.concatenate([[model.intercept], model.ar_coeffs, model.ma_coeffs])
+    eps, _ = _css(w[p:], _lag_matrix(w, p, include_intercept=True), beta)
+    return _forecasts(levels, np.asarray(ends), model.intercept, model.ar_coeffs, model.ma_coeffs, eps)
 
 
 def rolling_forecast(
@@ -283,7 +283,8 @@ def rolling_forecast(
 ) -> np.ndarray:
     """Static one-step forecasts over the test range: fit on the training
     prefix, then forecast / append the true value / refit, per test point.
-    With refit once, the training fit forecasts every point (_forecasts).
+    With refit once, the training fit forecasts every point
+    (_model_forecasts).
 
     With refit always, q = 0 and p >= 1, the refits after the first are
     solved in one batch (_rolling_ar_forecasts); only a prefix whose scaled
@@ -303,28 +304,28 @@ def rolling_forecast(
             raise ArimaFitError(f"fit failed at index {end}: {e}") from e
 
     model = _fit_prefix(n_train)
-    if refit == REFIT_ONCE:  # the fit's CSS innovations, run on past the training end
-        levels = _difference_levels(series, order.d)
-        w = levels[-1]
-        beta = np.concatenate([[model.intercept] if include_intercept else [], model.ar_coeffs, model.ma_coeffs])
-        eps, _ = _css(w[order.p :], _lag_matrix(w, order.p, include_intercept), beta)
-        return _forecasts(levels, np.arange(n_train, n), model.intercept, model.ar_coeffs, model.ma_coeffs, eps)
+    if refit == REFIT_ONCE:
+        return _model_forecasts(model, series, np.arange(n_train, n))
     preds = np.empty(n_test)
-    preds[0] = forecast_one(model)
+    preds[0] = forecast_one(model, series[:n_train])
+    ends = np.arange(n_train + 1, n)
     if order.q == 0 and order.p >= 1:
-        preds[1:] = _rolling_ar_forecasts(series, order, include_intercept, n_train, _fit_prefix)
-    else:
-        for k in range(1, n_test):
-            preds[k] = forecast_one(_fit_prefix(n_train + k))
+        solved, batched = _rolling_ar_forecasts(series, order, include_intercept, n_train)
+        preds[1:][solved] = batched
+        ends = ends[~solved]
+    for end in ends.tolist():
+        preds[end - n_train] = forecast_one(_fit_prefix(end), series[:end])
     return preds
 
 
 def _forecasts(levels: list[np.ndarray], ends: np.ndarray, intercept, ar, ma, eps) -> np.ndarray:
-    """forecast_one for each prefix series[:e], e in ends, of the series
-    with these differencing levels, summed in forecast_one's order. The
-    intercept and the last axis of ar broadcast over the prefixes: one model,
-    or one row per prefix. The MA terms read eps, the CSS innovations of
-    w[p:] (zero before the sample), so forecast e reads no value from e on."""
+    """The one-step forecast of each prefix series[:e], e in ends, of the
+    series with these differencing levels: the intercept, the AR terms in
+    lag order, the MA terms in lag order, then the last value of each level
+    from d - 1 down to 0. The intercept and the last axis of ar broadcast
+    over the prefixes: one model, or one row per prefix. The MA terms read
+    eps, the CSS innovations of w[p:] (zero before the sample), so forecast
+    e reads no value from e on."""
     d, p = len(levels) - 1, ar.shape[-1]
     last = ends - d - 1  # index in w of each prefix's last difference
     preds = np.full(len(ends), intercept, dtype=np.float64)
@@ -338,10 +339,11 @@ def _forecasts(levels: list[np.ndarray], ends: np.ndarray, intercept, ar, ma, ep
 
 
 def _rolling_ar_forecasts(
-    series: np.ndarray, order: ArimaOrder, include_intercept: bool, first: int, fit_prefix
-) -> np.ndarray:
-    """forecast_one(fit(series[:e])) for e = first + 1 .. n - 1, for q = 0
-    and p >= 1, given that series[:first] fits.
+    series: np.ndarray, order: ArimaOrder, include_intercept: bool, first: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which prefixes series[:e], e = first + 1 .. n - 1, one batch solves
+    (a mask), and forecast_one(fit(series[:e]), series[:e]) for each of
+    them, for q = 0 and p >= 1, given that series[:first] fits.
 
     The series is differenced and its lag matrix built once. The Gram
     matrix X'X and moment X'y of prefix series[:first] are one matmul; those
@@ -350,7 +352,8 @@ def _rolling_ar_forecasts(
     Gram has an eigenvalue ratio of at least _MIN_GRAM_RATIO is solved in
     one batched np.linalg.solve. The rest (rank-deficient designs, where
     fit's minimum-norm lstsq answer matters, constant differences, which
-    fit warns about, and non-finite values) go through fit_prefix."""
+    fit warns about, and non-finite values) are left out, for the caller to
+    fit."""
     p, d = order.p, order.d
     levels = _difference_levels(series, d)
     w = levels[d]
@@ -360,21 +363,17 @@ def _rolling_ar_forecasts(
     new_x, new_y = X[rows : rows + len(ends)], y[rows : rows + len(ends)]
     last = ends - d - 1  # index in w of each prefix's last difference
     constant = np.maximum.accumulate(w)[last] == np.minimum.accumulate(w)[last]
-    with np.errstate(all="ignore"):  # non-finite Grams are sent to fit_prefix
+    with np.errstate(all="ignore"):  # non-finite Grams are left out
         gram = X[:rows].T @ X[:rows] + np.cumsum(new_x[:, :, None] * new_x[:, None, :], axis=0)
         moment = X[:rows].T @ y[:rows] + np.cumsum(new_x * new_y[:, None], axis=0)
         scale = 1.0 / np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
         gram *= scale[:, :, None] * scale[:, None, :]
         moment *= scale
     usable = ~constant & np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(moment).all(axis=1)
-    gram[~usable] = np.eye(X.shape[1])  # any finite stand-in: these go to fit_prefix
+    gram[~usable] = np.eye(X.shape[1])  # any finite stand-in: these are left out
     eig = np.linalg.eigvalsh(gram)  # ascending
     fast = usable & (eig[:, 0] >= _MIN_GRAM_RATIO * eig[:, -1])
     beta = np.linalg.solve(gram[fast], moment[fast][:, :, None])[:, :, 0] * scale[fast]
 
-    out = np.empty(len(ends))
     intercept = beta[:, 0] if include_intercept else 0.0
-    out[fast] = _forecasts(levels, ends[fast], intercept, beta[:, int(include_intercept) :], (), None)
-    for j in np.flatnonzero(~fast):
-        out[j] = forecast_one(fit_prefix(int(ends[j])))
-    return out
+    return fast, _forecasts(levels, ends[fast], intercept, beta[:, int(include_intercept) :], (), None)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import os
 import pickle
 import sys
@@ -35,6 +34,7 @@ from .dataset import (
     fill_missing,
     fit_scaler,
     merge,
+    price_field,
     scale,
     split,
     to_supervised,
@@ -144,17 +144,10 @@ def _read_price_stream(path: Path) -> list[tuple[int, float]]:
     name."""
     for t_col, p_col in (("timestamp", "last"), ("time", "price")):
         try:
-            return list(time_ordered(path, read_table(path, {t_col: int64_field, p_col: _finite_price}), "price"))
+            return list(time_ordered(path, read_table(path, {t_col: int64_field, p_col: price_field}), "price"))
         except HeaderError:
             continue
     raise ValueError(f"{path}: expected timestamp/last or time/price columns")
-
-
-def _finite_price(field: str) -> float:
-    price = float(field)
-    if not (math.isfinite(price) and price > 0):
-        raise ValueError(f"price must be finite and > 0, got {price}")
-    return price
 
 
 def lstm_report(

@@ -68,8 +68,9 @@ class MergedSeries:
     @classmethod
     def from_csv(cls, path: str | Path) -> "MergedSeries":
         """Each row is checked on its line: a time that does not exceed the
-        one before, an infinite price or a sentiment outside [-1, 1] is an
-        error naming the file and the line."""
+        one before, a price that is neither empty (a gap) nor finite and > 0, or
+        a sentiment outside [-1, 1] is an error naming the file and the
+        line."""
         time, price, sentiment = [], [], []
         columns = dict(zip(COLUMNS, (int64_field, _price_or_gap, _sentiment_or_gap)))
         for line, (t, p, s) in read_table(path, columns, exact=True):
@@ -81,12 +82,17 @@ class MergedSeries:
         return cls(time, price, sentiment)
 
 
+def price_field(field: str) -> float:
+    """The one rule for a price read from a file: finite and > 0."""
+    price = float(field)
+    if not (math.isfinite(price) and price > 0):
+        raise ValueError(f"price must be finite and > 0, got {price}")
+    return price
+
+
 def _price_or_gap(field: str) -> float:
     """An empty field marks a gap."""
-    price = float(field) if field else math.nan
-    if math.isinf(price):
-        raise ValueError(f"price must not be infinite (NaN marks a gap), got {price}")
-    return price
+    return price_field(field) if field else math.nan
 
 
 def _sentiment_or_gap(field: str) -> float:

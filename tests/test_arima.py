@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,19 +160,43 @@ class TestForecastOne:
     def test_random_walk_forecasts_last_value(self):
         y = np.array([3.0, 5.0, 4.0, 4.5])
         model = fit(y, ArimaOrder(0, 1, 0), include_intercept=False)
-        assert forecast_one(model) == 4.5
+        assert forecast_one(model, y) == 4.5
 
     def test_linear_series_forecasts_next_step(self):
         y = np.arange(1.0, 13.0)  # 1, 2, ..., 12
         model = fit(y, ArimaOrder(0, 1, 0))
         assert model.intercept == pytest.approx(1.0)
-        assert forecast_one(model) == pytest.approx(13.0)
+        assert forecast_one(model, y) == pytest.approx(13.0)
 
     def test_ar1_formula(self):
-        model = fit(ar_process([0.5], 200, seed=0), ArimaOrder(1, 0, 0), include_intercept=False)
+        y = ar_process([0.5], 200, seed=0)
+        model = fit(y, ArimaOrder(1, 0, 0), include_intercept=False)
         model.ar_coeffs[0] = 0.5
-        model.diff_tail[-1] = 4.0
-        assert forecast_one(model) == pytest.approx(2.0)
+        y[-1] = 4.0
+        assert forecast_one(model, y) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("p, d, q, length", [(0, 1, 2, 2), (3, 1, 0, 3)])
+    def test_short_series_is_refused_by_the_fit_rule(self, p, d, q, length):
+        """A series fit would refuse is refused, not read past its start."""
+        order = ArimaOrder(p, d, q)
+        model = fit(random_walk(100, seed=3), order)
+        short = random_walk(length, seed=3)
+        message = re.escape(f"series of length {length} too short for order {order}")
+        with pytest.raises(ValueError, match=message):
+            fit(short, order)
+        with pytest.raises(ValueError, match=message):
+            forecast_one(model, short)
+
+    @pytest.mark.parametrize("p, d, q", [(1, 1, 1), (0, 1, 2), (2, 2, 1)])
+    def test_training_fit_forecasts_as_refit_once(self, p, d, q):
+        """forecast_one of the training fit on each prefix has the bits of
+        the refit-once forecast of the value after it: one formula."""
+        series = _arma11_integrated(160, d, seed=6)
+        order = ArimaOrder(p, d, q)
+        n_train, _ = train_test_counts(len(series))
+        model = fit(series[:n_train], order)
+        one_by_one = [forecast_one(model, series[:end]) for end in range(n_train, len(series))]
+        assert np.array_equal(one_by_one, rolling_forecast(series, order, refit="once"))
 
 
 class TestRollingForecast:
@@ -227,12 +253,7 @@ class TestRollingForecast:
         """With refit once, the forecast of series[e] is forecast_one's sum
         over the training fit's coefficients, its MA terms read from the
         scalar CSS recursion run over the whole series."""
-        e = np.random.default_rng(d).normal(0.0, 2.0, 201)
-        series = np.zeros(200)
-        for t in range(1, 200):
-            series[t] = 0.5 * series[t - 1] + e[t + 1] + 0.4 * e[t]
-        for _ in range(d):
-            series = 100.0 + np.cumsum(series)
+        series = _arma11_integrated(200, d, seed=d)
         order = ArimaOrder(p, d, q)
         n_train, _ = train_test_counts(200)
         model = fit(series[:n_train], order, include_intercept)
@@ -258,11 +279,23 @@ class TestRollingForecast:
             rolling_forecast(y, ArimaOrder(30, 1, 0))
 
 
+def _arma11_integrated(n, d, seed):
+    """ARMA(1,1) values (phi 0.5, theta 0.4, sigma 2), summed d times from
+    a level of 100."""
+    e = np.random.default_rng(seed).normal(0.0, 2.0, n + 1)
+    series = np.zeros(n)
+    for t in range(1, n):
+        series[t] = 0.5 * series[t - 1] + e[t + 1] + 0.4 * e[t]
+    for _ in range(d):
+        series = 100.0 + np.cumsum(series)
+    return series
+
+
 def _per_prefix_forecasts(series, order, include_intercept=True):
     """The oracle of a rolling forecast with refit always: fit and
     forecast_one on every prefix, one by one."""
     n_train, _ = train_test_counts(len(series))
-    return np.array([forecast_one(fit(series[:end], order, include_intercept))
+    return np.array([forecast_one(fit(series[:end], order, include_intercept), series[:end])
                      for end in range(n_train, len(series))])
 
 

@@ -254,6 +254,16 @@ class TestErrorPaths:
         code = run(["merge", "--prices", str(prices), "--out", str(tmp_path / "m.csv")])
         _assert_one_line_error(capfd, code, "prices.csv:3:", column)
 
+    @pytest.mark.parametrize("cycle", [("120", "-101", "0.0"), ("120", "nan")])
+    def test_bad_merged_price_names_file_and_line(self, tmp_path, cycle, capfd):
+        """A merged file takes the price rule of a price stream; only an
+        empty field is a gap."""
+        merged = tmp_path / "merged.csv"
+        prices = (cycle * 60)[:60]
+        merged.write_text("time,price,sentiment\n" + "".join(f"{60 * (i + 1)},{p},0.0\n" for i, p in enumerate(prices)))
+        code = run(["train-arima", "--data", str(merged), "--order", "1,1,0", "--out-dir", str(tmp_path / "out")])
+        _assert_one_line_error(capfd, code, "merged.csv:3:", "'price'", "finite and > 0")
+
     @pytest.mark.parametrize("header", ["time,price", "timestamp,last"])
     def test_price_time_going_back_names_file_and_line(self, tmp_path, header, capfd):
         prices = tmp_path / "prices.csv"

@@ -269,9 +269,10 @@ def test_merged_series_bounds_sentiment_and_timestamps():
 
 @pytest.mark.parametrize("row, message", [
     ("120,6502.0,0.0", "timestamps must be strictly increasing and unique (120 after 120)"),
-    ("180,inf,0.0", "column 'price': price must not be infinite"),
+    ("180,inf,0.0", "column 'price': price must be finite and > 0"),
+    ("180,-101.0,0.0", "column 'price': price must be finite and > 0"),
     ("180,6502.0,-1.5", "column 'sentiment': sentiment must lie in [-1, 1]"),
-], ids=["repeated-time", "infinite-price", "sentiment-out-of-range"])
+], ids=["repeated-time", "infinite-price", "negative-price", "sentiment-out-of-range"])
 def test_merged_csv_error_names_its_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"time,price,sentiment\n60,6500.0,0.0\n120,,0.5\n{row}\n")  # line 3 has a gap
