@@ -34,14 +34,13 @@ from .dataset import (
     fill_missing,
     fit_scaler,
     merge,
-    price_field,
     scale,
     split,
     to_supervised,
     train_test_counts,
     unscale_column,
 )
-from .table import HeaderError, int64_field, read_table, time_ordered
+from .table import HeaderError, int64_field, price_field, read_table, time_ordered
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -144,7 +143,8 @@ def _read_price_stream(path: Path) -> list[tuple[int, float]]:
     name."""
     for t_col, p_col in (("timestamp", "last"), ("time", "price")):
         try:
-            return list(time_ordered(path, read_table(path, {t_col: int64_field, p_col: price_field}), "price"))
+            rows = read_table(path, {t_col: int64_field, p_col: price_field})
+            return [(t, p) for _, (t, p) in time_ordered(path, rows, "price")]
         except HeaderError:
             continue
     raise ValueError(f"{path}: expected timestamp/last or time/price columns")

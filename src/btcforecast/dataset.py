@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .table import int64_field, read_table, write_table
+from .table import int64_field, polarity_field, price_field, read_table, time_ordered, write_table
 
 COLUMNS = ("time", "price", "sentiment")
 
@@ -61,46 +61,33 @@ class MergedSeries:
         return list(zip(self.time.tolist(), self.price.tolist(), self.sentiment.tolist()))
 
     def to_csv(self, path: str | Path) -> None:
-        """A NaN price (a gap) is written as an empty field."""
-        rows = ([t, "" if math.isnan(p) else repr(p), repr(s)] for t, p, s in self.rows())
+        """A NaN price or sentiment (a gap) is written as an empty field."""
+        rows = ([t, _field_or_gap(p), _field_or_gap(s)] for t, p, s in self.rows())
         write_table(path, COLUMNS, rows)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "MergedSeries":
         """Each row is checked on its line: a time that does not exceed the
         one before, a price that is neither empty (a gap) nor finite and > 0, or
-        a sentiment outside [-1, 1] is an error naming the file and the
-        line."""
-        time, price, sentiment = [], [], []
-        columns = dict(zip(COLUMNS, (int64_field, _price_or_gap, _sentiment_or_gap)))
-        for line, (t, p, s) in read_table(path, columns, exact=True):
-            if time and t <= time[-1]:
-                raise ValueError(f"{path}:{line}: timestamps must be strictly increasing and unique ({t} after {time[-1]})")
+        a sentiment that is neither empty nor in [-1, 1] is an error naming
+        the file and the line."""
+        columns = dict(zip(COLUMNS, (int64_field, _or_gap(price_field), _or_gap(polarity_field))))
+        rows = time_ordered(path, read_table(path, columns, exact=True), "merged", strict=True)
+        time, price, sentiment = [], [], []  # three flat lists, not one list per row
+        for _, (t, p, s) in rows:
             time.append(t)
             price.append(p)
             sentiment.append(s)
         return cls(time, price, sentiment)
 
 
-def price_field(field: str) -> float:
-    """The one rule for a price read from a file: finite and > 0."""
-    price = float(field)
-    if not (math.isfinite(price) and price > 0):
-        raise ValueError(f"price must be finite and > 0, got {price}")
-    return price
+def _field_or_gap(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
 
 
-def _price_or_gap(field: str) -> float:
-    """An empty field marks a gap."""
-    return price_field(field) if field else math.nan
-
-
-def _sentiment_or_gap(field: str) -> float:
-    """An empty field marks a gap."""
-    sentiment = float(field) if field else math.nan
-    if abs(sentiment) > 1.0:
-        raise ValueError(f"sentiment must lie in [-1, 1] (NaN marks a gap), got {sentiment}")
-    return sentiment
+def _or_gap(convert):
+    """convert, with an empty field read as NaN (a gap)."""
+    return lambda field: convert(field) if field else math.nan
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,11 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from ..table import int64_field, read_table
+from ..table import int64_field, number_field, price_field, read_table, time_ordered
 from .sources import NUMBER, PRICE, SCHEMAS, TEXT, TIME
 
-# how the fields of each kind parse back from a log
-_CONVERTERS = {TEXT: str, TIME: int64_field, NUMBER: float, PRICE: float}
-# one below the least time int64_field reads back
-_BEFORE_ANY_TIME = -(2**63) - 1
+# each kind parses back from a log by the rule parse_payload built it with
+_CONVERTERS = {TEXT: str, TIME: int64_field, NUMBER: number_field, PRICE: price_field}
 
 
 class OutOfOrderError(ValueError):
@@ -36,22 +34,15 @@ class RecordLog:
             # every field of every row is parsed, as read() does, and the
             # ordering key must advance on every line; only the last is kept
             key = self.columns.index(self._time_column)
-            last = _BEFORE_ANY_TIME
             line = 1  # the header's, when the log holds no record
-            for line, values in self._rows():
-                if values[key] <= last:
-                    raise ValueError(
-                        f"{self.path}:{line}: timestamp {values[key]} does not advance the log (line before: {last})"
-                    )
-                last = values[key]
+            for line, values in time_ordered(self.path, self._rows(), "record log", strict=True, key=key):
+                self._last_timestamp = values[key]
             # a torn append can still parse (say, cut inside its last text
             # field), and the next append would be glued onto it
             with open(self.path, "rb") as f:
                 f.seek(-1, 2)
                 if f.read() != b"\n":
                     raise ValueError(f"{self.path}:{line}: last line has no line ending (a torn append?)")
-            if last != _BEFORE_ANY_TIME:
-                self._last_timestamp = last
         self._handle = open(self.path, "w" if fresh else "a", encoding="utf-8", newline="")
         self._writer = csv.writer(self._handle, lineterminator="\n")
         if fresh:

@@ -10,8 +10,10 @@ log-column order, and a record is a dict from log column to value, in
 that order: the row it is written as. A kind says how a field parses:
 text (a JSON string of at most 1024 characters, none a control character
 or a lone surrogate, kept as is), time (the record's ordering key, an
-integer that fits in 64 bits, kept exact; a fractional number is
-truncated), number (finite) or price (finite and > 0).
+integer that fits in 64 bits, kept exact, by table.int64_field; a
+fractional number is truncated), number (finite, by table.number_field)
+or price (finite and > 0, by table.price_field). A log reopens through the
+same table rules.
 A record is only built when every field of its schema is present and
 parses, so no partial records ever reach a log, and every record written
 reopens.
@@ -26,7 +28,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..table import int64_field
+from ..table import int64_field, number_field, price_field
 
 BITSTAMP_TICKER = "bitstamp_ticker"
 MARKETCAP_SNAPSHOT = "marketcap_snapshot"
@@ -123,24 +125,19 @@ def parse_payload(schema: str, payload: dict) -> dict[str, str | int | float]:
         if isinstance(raw, bool):  # float(True) would read as 1.0
             raise SchemaError(key, "non-numeric field")
         try:
-            num = float(raw)
+            num = price_field(raw) if kind == PRICE else number_field(raw)
+            if kind == TIME:
+                # an integer, or an integer string, stays exact (past 2**53
+                # its float is rounded); a fractional number is truncated
+                with contextlib.suppress(ValueError):
+                    num = int(raw)
+                num = int64_field(num)
         except OverflowError:  # a JSON integer past the float range
             raise SchemaError(key, "non-finite field") from None
-        except (TypeError, ValueError):
+        except TypeError:  # null, a list or an object
             raise SchemaError(key, "non-numeric field") from None
-        if not math.isfinite(num):
-            raise SchemaError(key, "non-finite field")
-        if kind == PRICE and num <= 0:
-            raise SchemaError(key, "must be > 0")
-        if kind == TIME:
-            # an integer, or an integer string, stays exact (past 2**53 its
-            # float is rounded); a fractional number is truncated
-            with contextlib.suppress(ValueError):
-                num = int(raw)
-            try:
-                num = int64_field(num)
-            except ValueError as e:
-                raise SchemaError(key, str(e)) from None
+        except ValueError as e:
+            raise SchemaError(key, str(e)) from None
         record[column] = num
     if schema == MARKETCAP_SNAPSHOT and record["available_supply"] > record["total_supply"]:
         raise SchemaError("available_supply", "exceeds total_supply")

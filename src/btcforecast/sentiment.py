@@ -15,7 +15,7 @@ from importlib import resources
 from operator import itemgetter
 from pathlib import Path
 
-from .table import int64_field, read_table, time_ordered, write_table
+from .table import int64_field, polarity_field, read_table, time_ordered, write_table
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -146,8 +146,7 @@ def score_polarity(tokens: list[str], lexicon: Lexicon) -> float:
 
 def classify(polarity: float) -> str:
     """Positive for polarity > 0, Negative for < 0, Neutral for = 0."""
-    if not -1.0 <= polarity <= 1.0:
-        raise ValueError(f"polarity outside [-1, 1]: {polarity}")
+    polarity_field(polarity)  # a polarity outside [-1, 1], or NaN, is an error
     if polarity > 0:
         return POSITIVE
     if polarity < 0:
@@ -180,15 +179,8 @@ def write_sentiment_log(path: str | Path, rows: Iterable[tuple[int, float, str]]
 
 def read_sentiment_log(path: str | Path) -> list[tuple[int, float]]:
     """The (timestamp, polarity) pairs of a log, which merge buckets in time
-    order: a time that goes back is an error on its line."""
-    columns = {"timestamp": int64_field, "polarity": _polarity, "label": str}
-    return [(t, p) for t, p, _ in time_ordered(path, read_table(path, columns), "sentiment")]
-
-
-def _polarity(field: str) -> float:
-    # checked per line: merge averages polarities per bucket, so a bad one
-    # could otherwise hide in a mean that lies in [-1, 1]
-    polarity = float(field)
-    if not -1.0 <= polarity <= 1.0:
-        raise ValueError(f"polarity outside [-1, 1]: {polarity}")
-    return polarity
+    order: a time that goes back, or a polarity outside [-1, 1], is an error
+    on its line (merge averages polarities per bucket, so a bad one could
+    otherwise hide in a mean that lies in [-1, 1])."""
+    columns = {"timestamp": int64_field, "polarity": polarity_field, "label": str}
+    return [(t, p) for _, (t, p, _) in time_ordered(path, read_table(path, columns), "sentiment")]

@@ -1,8 +1,11 @@
-"""The one CSV-table reader and writer behind the program's CSV files."""
+"""The one CSV-table reader and writer behind the program's CSV files, and
+the field rules its readers convert through: one rule per quantity (a time,
+a price, a finite number, a polarity), and one check of time order."""
 
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
@@ -71,17 +74,46 @@ def int64_field(field: str | float) -> int:
     return value
 
 
-def time_ordered(path: str | Path, rows: Iterable[tuple[int, list]], what: str) -> Iterator[tuple]:
-    """The values of each read_table row, as a tuple, in order; a time (the
-    first value, an int64_field) below the one before is an error on its
-    line."""
-    last = -(2**63)  # the least time int64_field accepts
+def number_field(field: str) -> float:
+    """The one rule for a number read from a file or a payload: finite."""
+    value = float(field)
+    if not math.isfinite(value):
+        raise ValueError(f"number must be finite, got {value}")
+    return value
+
+
+def price_field(field: str) -> float:
+    """The one rule for a price read from a file or a payload: finite and > 0."""
+    price = float(field)
+    if not 0.0 < price < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"price must be finite and > 0, got {price}")
+    return price
+
+
+def polarity_field(field: str | float) -> float:
+    """The one rule for a polarity, read from a file or scored: in [-1, 1]
+    (NaN is not)."""
+    polarity = float(field)
+    if not -1.0 <= polarity <= 1.0:
+        raise ValueError(f"polarity outside [-1, 1]: {polarity}")
+    return polarity
+
+
+def time_ordered(
+    path: str | Path, rows: Iterable[tuple[int, list]], what: str, strict: bool = False, key: int = 0
+) -> Iterator[tuple[int, list]]:
+    """Pass on the (line number, values) rows of read_table, checking the
+    time of each (values[key], an int64_field): one below the time before,
+    or with strict one equal to it, is an error on its line."""
+    least = 1 if strict else 0  # the least step from one time to the next
+    last = -(2**63) - 1  # below every int64_field time
     for line, values in rows:
-        t = values[0]
-        if t < last:
-            raise ValueError(f"{path}:{line}: {what} input must be time-ordered ({t} after {last})")
+        t = values[key]
+        if t - last < least:
+            order = "strictly time-ordered" if strict else "time-ordered"
+            raise ValueError(f"{path}:{line}: {what} input must be {order} ({t} after {last})")
         last = t
-        yield tuple(values)
+        yield line, values
 
 
 def write_table(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:

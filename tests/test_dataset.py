@@ -242,12 +242,14 @@ def test_train_test_counts_examples():
 
 
 def test_merged_series_csv_roundtrip(tmp_path):
-    series = MergedSeries([60, 120, 180], [6500.5, math.nan, 6501.25], [0.25, -0.5, 0.0])
+    series = MergedSeries([60, 120, 180, 240], [6500.5, math.nan, 6501.25, 6502.0], [0.25, -0.5, 0.0, math.nan])
     path = tmp_path / "merged.csv"
     series.to_csv(path)
     back = MergedSeries.from_csv(path)
     assert back == series
-    assert path.read_text(encoding="utf-8").splitlines()[0] == "time,price,sentiment"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "time,price,sentiment"
+    assert lines[2] == "120,,-0.5" and lines[4] == "240,6502.0,"  # a gap is an empty field
 
 
 def test_merged_series_rejects_disorder():
@@ -268,11 +270,12 @@ def test_merged_series_bounds_sentiment_and_timestamps():
 
 
 @pytest.mark.parametrize("row, message", [
-    ("120,6502.0,0.0", "timestamps must be strictly increasing and unique (120 after 120)"),
+    ("120,6502.0,0.0", "merged input must be strictly time-ordered (120 after 120)"),
     ("180,inf,0.0", "column 'price': price must be finite and > 0"),
     ("180,-101.0,0.0", "column 'price': price must be finite and > 0"),
-    ("180,6502.0,-1.5", "column 'sentiment': sentiment must lie in [-1, 1]"),
-], ids=["repeated-time", "infinite-price", "negative-price", "sentiment-out-of-range"])
+    ("180,6502.0,-1.5", "column 'sentiment': polarity outside [-1, 1]: -1.5"),
+    ("180,6502.0,nan", "column 'sentiment': polarity outside [-1, 1]: nan"),
+], ids=["repeated-time", "infinite-price", "negative-price", "sentiment-out-of-range", "nan-sentiment"])
 def test_merged_csv_error_names_its_line(tmp_path, row, message):
     path = tmp_path / "bad.csv"
     path.write_text(f"time,price,sentiment\n60,6500.0,0.0\n120,,0.5\n{row}\n")  # line 3 has a gap

@@ -235,6 +235,27 @@ class TestParsePayload:
             _assert_record_of(schema, record)
             _assert_log_round_trip(schema, record)
 
+    @pytest.mark.parametrize("column", ["last", "volume"], ids=["price", "number"])
+    @settings(max_examples=100, deadline=None)
+    @given(field=_NUMBERS.map(str) | st.text("0123456789+-._eEinfaINFx \t", max_size=8))
+    def test_a_field_parses_exactly_when_its_log_row_reopens(self, bitstamp_payload, column, field):
+        """The payload parser and the log reader take a numeric field by
+        one rule, so they cannot drift apart."""
+        try:
+            record = parse_payload(BITSTAMP_TICKER, bitstamp_payload | {column: field})
+        except SchemaError:
+            record = None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            with RecordLog(path, BITSTAMP_TICKER) as log:  # append writes a str field as it is
+                log.append(parse_payload(BITSTAMP_TICKER, bitstamp_payload) | {column: field})
+            try:
+                with RecordLog(path, BITSTAMP_TICKER) as log:
+                    reopened = log.read()
+            except ValueError:
+                reopened = None
+        assert reopened == (None if record is None else [record])
+
     @pytest.mark.parametrize("created, expected", [
         (1700000000123456789, 1700000000123456789),  # nanoseconds: its float ends in ...768
         ("1700000000123456789", 1700000000123456789),
@@ -324,6 +345,15 @@ class TestRecordLog:
         with open(path, "a", encoding="utf-8") as f:
             f.write(tail)
 
+    @staticmethod
+    def _set_field(path, line, column, value):
+        """Replace one field of one line of a log written by _log_with."""
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[line - 1].split(",")
+        fields[TABLE2_FIELDS.index(column)] = value
+        lines[line - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
     def test_reopen_finds_last_timestamp_without_records(self, tmp_path, bitstamp_payload, monkeypatch):
         path = tmp_path / "ticks.csv"
         self._log_with(path, bitstamp_payload, 4)
@@ -361,12 +391,22 @@ class TestRecordLog:
     def test_reopen_rejects_unparseable_field(self, tmp_path, bitstamp_payload):
         path = tmp_path / "ticks.csv"
         self._log_with(path, bitstamp_payload, 2)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        fields = lines[1].split(",")
-        fields[TABLE2_FIELDS.index("timestamp")] = "12x"
-        lines[1] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self._set_field(path, 2, "timestamp", "12x")
         with pytest.raises(ValueError, match=r"ticks\.csv:2: column 'timestamp'"):
+            RecordLog(path, BITSTAMP_TICKER)
+
+    @pytest.mark.parametrize("column, value", [("last", "-3"), ("last", "0"), ("last", "nan"), ("last", "inf"),
+                                               ("volume", "nan")])
+    def test_a_logged_value_outside_its_kind_fails_to_reopen_and_read(self, tmp_path, bitstamp_payload, column, value):
+        # a log takes the rules of the payloads its records are built from
+        path = tmp_path / "ticks.csv"
+        self._log_with(path, bitstamp_payload, 2)
+        expected = rf"^{re.escape(str(path))}:3: column '{column}': "
+        with RecordLog(path, BITSTAMP_TICKER) as log:
+            self._set_field(path, 3, column, value)
+            with pytest.raises(ValueError, match=expected):
+                log.read()
+        with pytest.raises(ValueError, match=expected):
             RecordLog(path, BITSTAMP_TICKER)
 
     def test_reopen_rejects_timestamp_past_64_bits(self, tmp_path, bitstamp_payload):
@@ -381,12 +421,8 @@ class TestRecordLog:
         # line 3 goes back to 90 (or repeats 100), as a hand-joined log could
         path = tmp_path / "ticks.csv"
         self._log_with(path, bitstamp_payload, 3)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        fields = lines[2].split(",")
-        fields[TABLE2_FIELDS.index("timestamp")] = str(timestamp)
-        lines[2] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        expected = rf"^{re.escape(str(path))}:3: timestamp {timestamp} does not advance the log \(line before: 100\)$"
+        self._set_field(path, 3, "timestamp", str(timestamp))
+        expected = rf"^{re.escape(str(path))}:3: record log input must be strictly time-ordered \({timestamp} after 100\)$"
         with pytest.raises(ValueError, match=expected):
             RecordLog(path, BITSTAMP_TICKER)
 

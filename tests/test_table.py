@@ -7,7 +7,15 @@ import pytest
 from btcforecast.dataset import MergedSeries
 from btcforecast.evaluation import ForecastReport, compare, emit_plot_data
 from btcforecast.sentiment import write_sentiment_log
-from btcforecast.table import HeaderError, read_table
+from btcforecast.table import (
+    HeaderError,
+    int64_field,
+    number_field,
+    polarity_field,
+    price_field,
+    read_table,
+    time_ordered,
+)
 
 COLUMNS = {"time": int, "price": float}
 
@@ -42,6 +50,45 @@ def test_malformed_table_is_one_line_error(tmp_path, text, exact, error, message
     with pytest.raises(error, match=message) as excinfo:
         list(read_table(_table(tmp_path, text), COLUMNS, exact=exact))
     assert len(str(excinfo.value).splitlines()) == 1
+
+
+# each field rule on each field: the value it reads, or None where it
+# refuses the field with a ValueError
+_FIELDS = ("0", "-0.0", "nan", "inf", "1e309", "-1.0000001", "9" * 25)
+_RULES = {
+    int64_field: (0, None, None, None, None, None, None),  # "9" * 25 is past 64 bits
+    number_field: (0.0, -0.0, None, None, None, -1.0000001, 1e25),
+    price_field: (None, None, None, None, None, None, 1e25),
+    polarity_field: (0.0, -0.0, None, None, None, None, None),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, field, expected",
+    [(rule, field, value) for rule, values in _RULES.items() for field, value in zip(_FIELDS, values)],
+    ids=[f"{rule.__name__}-{field[:8]}" for rule in _RULES for field in _FIELDS],
+)
+def test_field_rule_accepts_or_refuses(rule, field, expected):
+    if expected is None:
+        with pytest.raises(ValueError):
+            rule(field)
+    else:
+        assert repr(rule(field)) == repr(expected)  # repr tells -0.0 from 0.0, and 0 from 0.0
+
+
+@pytest.mark.parametrize("strict, passed, message", [
+    (False, 3, r"t\.csv:5: price input must be time-ordered \(90 after 120\)$"),
+    (True, 2, r"t\.csv:4: price input must be strictly time-ordered \(120 after 120\)$"),
+], ids=["non-decreasing", "strict"])
+def test_time_ordered_checks_the_time_it_is_given(tmp_path, strict, passed, message):
+    # the time is the second value; an equal time passes only when not strict
+    path = _table(tmp_path, "price,time\n1.5,60\n2.5,120\n3.5,120\n4.5,90\n")
+    rows = time_ordered(path, read_table(path, {"price": float, "time": int64_field}), "price", strict, key=1)
+    seen = []
+    with pytest.raises(ValueError, match=message):
+        for row in rows:
+            seen.append(row)
+    assert seen == [(2, [1.5, 60]), (3, [2.5, 120]), (4, [3.5, 120])][:passed]
 
 
 def _writers():
