@@ -263,14 +263,17 @@ def forecast_one(model: ArimaModel, series: np.ndarray) -> float:
 
 def _model_forecasts(model: ArimaModel, series: np.ndarray, ends) -> np.ndarray:
     """forecast_one(model, series[:e]) for each e in ends: one CSS pass over
-    the whole series with the model's coefficients, then _forecasts. The
+    the whole series with the model's coefficients, then _forecasts. Only
+    the MA terms read the innovations, so for q = 0 there is no pass. The
     lag matrix always has the intercept column; without an intercept its
     coefficient is 0.0, which leaves every innovation's bits as fit's."""
     p, d = model.order.p, model.order.d
     levels = _difference_levels(series, d)
     w = levels[d]
-    beta = np.concatenate([[model.intercept], model.ar_coeffs, model.ma_coeffs])
-    eps, _ = _css(w[p:], _lag_matrix(w, p, include_intercept=True), beta)
+    eps = None
+    if model.order.q:
+        beta = np.concatenate([[model.intercept], model.ar_coeffs, model.ma_coeffs])
+        eps, _ = _css(w[p:], _lag_matrix(w, p, include_intercept=True), beta)
     return _forecasts(levels, np.asarray(ends), model.intercept, model.ar_coeffs, model.ma_coeffs, eps)
 
 

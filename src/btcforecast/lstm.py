@@ -34,10 +34,16 @@ model's arrays in place too. Importing btcforecast pins BLAS to one thread
 (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS default to 1; a
 value the caller set wins), so the bits of a run do not depend on the core
 count. cli.run_comparison trains its two LSTMs in two processes.
+
+init draws W and then Wd, in C order, from the stream of numpy's
+default_rng(seed).uniform, bit for bit, but computes it in pure Python
+(_uniform_draws: SeedSequence and PCG64), so no training process loads
+numpy.random, which costs 12-13 ms and about 6 MB of peak RSS.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -70,6 +76,8 @@ class LstmConfig:
             raise ValueError("hidden_size and lag must be positive, epochs >= 0")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -118,13 +126,74 @@ class TrainHistory:
 
 
 def init(config: LstmConfig) -> LstmModel:
-    """Seeded uniform [-k, k] weights with k = 1/sqrt(hidden); zero biases."""
-    rng = np.random.default_rng(config.seed)
+    """Seeded uniform [-k, k] weights with k = 1/sqrt(hidden); zero biases.
+    W, then Wd, in C order, from the stream of numpy's default_rng(seed)."""
     h, f = config.hidden_size, config.n_features
-    k = 1.0 / np.sqrt(h)
-    W = rng.uniform(-k, k, size=(4 * h, h + f))
-    Wd = rng.uniform(-k, k, size=(1, h))
+    k = 1.0 / math.sqrt(h)
+    n_w = 4 * h * (h + f)
+    draws = _uniform_draws(int(config.seed), -k, k, n_w + h)
+    W = draws[:n_w].reshape(4 * h, h + f)
+    Wd = draws[n_w:].reshape(1, h)
     return LstmModel(W=W, b=np.zeros(4 * h), Wd=Wd, bd=np.zeros(1), n_features=f, hidden_size=h)
+
+
+_M32, _M64, _M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's 128-bit LCG multiplier
+
+
+def _uniform_draws(seed: int, low: float, high: float, n: int) -> np.ndarray:
+    """np.random.default_rng(seed).uniform(low, high, n), bit for bit, without
+    importing numpy.random: numpy's SeedSequence hashes the seed into four
+    64-bit words, PCG64 (O'Neill 2014) is seeded from them, and each draw is
+    low + (high - low) * (53 bits of its XSL-RR output) * 2**-53. NumPy's
+    NEP 19 keeps these streams stable."""
+    words = []  # the seed's 32-bit words, least significant first
+    while True:
+        words.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _M32
+        value = value * hash_a & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    # SeedSequence: the words are hashed into a pool of four, and mixed
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight 32-bit words, paired little-endian
+    hash_b, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _M32
+        value = value * hash_b & _M32
+        out.append(value ^ value >> 16)
+    s = [out[2 * i] | out[2 * i + 1] << 32 for i in range(4)]
+    initstate, initseq = s[0] << 64 | s[1], s[2] << 64 | s[3]
+    # PCG64's seeding: from state 0 one step (giving inc), add initstate, one step
+    inc = (initseq << 1 | 1) & _M128
+    state = ((inc + initstate) * _PCG_MULT + inc) & _M128
+    scale, draws = high - low, np.empty(n)
+    for i in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        draws[i] = low + scale * ((x >> 11) * 2.0**-53)
+    return draws
 
 
 def _sigmoid_inplace(x: np.ndarray) -> None:
@@ -322,11 +391,6 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
         )
     if dataset.inputs.shape[1] != config.lag:
         raise ValueError(f"dataset lag {dataset.inputs.shape[1]} != config lag {config.lag}")
-
-    # numpy imports numpy.random on first use, which takes longer than init
-    # itself: import it before the clock starts, so that build_time_ms times
-    # init alone
-    import numpy.random
 
     t0 = time.perf_counter()
     model = init(config)

@@ -65,10 +65,27 @@ def _rows(path, reader, columns: dict, exact: bool) -> Iterator[tuple[int, list]
         yield reader.line_num, values
 
 
+_QUOTED = 40  # the most characters of a field's repr an error quotes
+
+
+def _bounded(error: ValueError, field: str | float) -> ValueError:
+    """error, which int(field) or float(field) raised as "reason: repr", or,
+    where the field's repr is longer than _QUOTED, the same reason quoting
+    only the start of the field, so that a long field gives a short message."""
+    quoted = repr(field)
+    if len(quoted) <= _QUOTED:
+        return error
+    reason = str(error).split(": ", 1)[0]
+    return ValueError(f"{reason}: {quoted[:_QUOTED]}... ({len(field)} characters)")
+
+
 def int64_field(field: str | float) -> int:
     """An integer field (or a finite float, truncated) that fits the int64
     time column, so that an overflow is reported where it is read."""
-    value = int(field)
+    try:
+        value = int(field)
+    except ValueError as e:
+        raise _bounded(e, field) from None
     if not -(2**63) <= value < 2**63:
         raise ValueError("timestamp must fit in a 64-bit integer")
     return value
@@ -76,7 +93,10 @@ def int64_field(field: str | float) -> int:
 
 def number_field(field: str) -> float:
     """The one rule for a number read from a file or a payload: finite."""
-    value = float(field)
+    try:
+        value = float(field)
+    except ValueError as e:
+        raise _bounded(e, field) from None
     if not math.isfinite(value):
         raise ValueError(f"number must be finite, got {value}")
     return value
@@ -84,7 +104,10 @@ def number_field(field: str) -> float:
 
 def price_field(field: str) -> float:
     """The one rule for a price read from a file or a payload: finite and > 0."""
-    price = float(field)
+    try:
+        price = float(field)
+    except ValueError as e:
+        raise _bounded(e, field) from None
     if not 0.0 < price < math.inf:  # NaN fails both comparisons
         raise ValueError(f"price must be finite and > 0, got {price}")
     return price
@@ -93,7 +116,10 @@ def price_field(field: str) -> float:
 def polarity_field(field: str | float) -> float:
     """The one rule for a polarity, read from a file or scored: in [-1, 1]
     (NaN is not)."""
-    polarity = float(field)
+    try:
+        polarity = float(field)
+    except ValueError as e:
+        raise _bounded(e, field) from None
     if not -1.0 <= polarity <= 1.0:
         raise ValueError(f"polarity outside [-1, 1]: {polarity}")
     return polarity

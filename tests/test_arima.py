@@ -320,6 +320,21 @@ def _assert_close_to(new, reference, rtol=1e-9):
     assert np.max(np.abs(new - reference)) <= rtol * np.max(np.abs(reference))
 
 
+@pytest.mark.parametrize("refit", ["once", "always"])
+def test_rolling_forecast_without_ma_terms_runs_no_css_pass(monkeypatch, refit):
+    """Only the MA terms read innovations, so a q = 0 forecast makes no
+    _css call, with refit once or always (on the noiseless sine every
+    refit goes through fit and forecast_one)."""
+    from btcforecast import arima
+
+    calls = []
+    original = arima._css
+    monkeypatch.setattr(arima, "_css", lambda *a, **k: calls.append(1) or original(*a, **k))
+    preds = rolling_forecast(sine_series(n=300, period=40).price, ArimaOrder(10, 1, 0), refit=refit)
+    assert np.isfinite(preds).all()
+    assert calls == []
+
+
 class TestRollingArRefits:
     """With refit always and q = 0, rolling_forecast solves the refits after
     the first from running normal equations, and leaves nearly singular

@@ -765,17 +765,32 @@ class TestForkDecision:
         assert not self._can_fork("", OPENBLAS_NUM_THREADS="2")
 
 
+def _loaded_after(code: str, names: tuple[str, ...]) -> str:
+    """The last line a fresh interpreter prints after running code: the
+    list of the modules in names that it then holds."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
+                                                        *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint([m for m in {names!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return proc.stdout.splitlines()[-1]
+
+
 def test_importing_the_cli_loads_no_ingest_or_network_module():
     """Only the ingest command needs the ingest package and the urllib, http
     and ssl modules it pulls in; the CLI imports them in that command."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
-                                                        *filter(None, [os.environ.get("PYTHONPATH")])])}
     names = ("btcforecast.ingest", "urllib.request", "http.client", "ssl")
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, btcforecast.cli; print([m for m in {names!r} if m in sys.modules])"],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
-    assert proc.stdout == "[]\n"
+    assert _loaded_after("import btcforecast.cli", names) == "[]"
+
+
+@pytest.mark.parametrize("command", ["train-lstm", "evaluate"])
+def test_training_an_lstm_loads_no_numpy_random(small_sine, tmp_path, command):
+    """lstm.init draws its seeded weights in pure Python, so a command that
+    trains an LSTM never imports numpy.random."""
+    argv = [command, "--data", str(small_sine), "--out-dir", str(tmp_path / "out"), *FAST_LSTM]
+    code = f"from btcforecast.cli import run\nassert run({argv!r}) == 0"
+    assert _loaded_after(code, ("numpy.random",)) == "[]"
 
 
 def _run_demo(name: str) -> subprocess.CompletedProcess:

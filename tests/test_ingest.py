@@ -143,6 +143,14 @@ class TestParsePayload:
         with pytest.raises(SchemaError, match="last"):
             parse_payload(BITSTAMP_TICKER, payload)
 
+    def test_a_long_non_numeric_field_gives_a_short_error(self, bitstamp_payload):
+        payload = dict(bitstamp_payload) | {"last": "x" * 200_000}
+        with pytest.raises(SchemaError, match="last") as info:
+            parse_payload(BITSTAMP_TICKER, payload)
+        assert info.value.field == "last"
+        assert str(info.value).endswith("... (200000 characters): last")
+        assert len(str(info.value)) < 200
+
     def test_non_positive_price_rejected(self, bitstamp_payload):
         payload = dict(bitstamp_payload) | {"low": "-1.0"}
         with pytest.raises(SchemaError, match="low"):

@@ -78,10 +78,12 @@ class TestInit:
         assert model.b.shape == (4 * 32,)
         assert model.Wd.shape == (1, 32)
 
-    def test_gate_blocks_are_sequential_draws(self):
+    @pytest.mark.parametrize("seed", [0, 17, 2**32 + 1, 2**64 + 5])
+    @pytest.mark.parametrize("h, f", [(4, 2), (32, 1), (32, 2)])
+    def test_gate_blocks_are_sequential_draws(self, seed, h, f):
         # W's f, i, o, g row blocks are four consecutive (h, h+f) draws from
-        # the seeded stream, then Wd: the stream of one draw per gate tensor
-        h, f, seed = 4, 2, 17
+        # numpy's default_rng(seed) stream, then Wd: the stream of one draw
+        # per gate tensor, bit for bit, though init does not use numpy.random
         model = init(LstmConfig(n_features=f, hidden_size=h, seed=seed))
         rng = np.random.default_rng(seed)
         k = 1.0 / math.sqrt(h)
@@ -466,3 +468,9 @@ def test_multi_feature_with_zero_sentiment_matches_single_feature():
 def test_config_rejects_a_learning_rate_that_is_not_finite_and_positive(rate):
     with pytest.raises(ValueError, match="learning_rate"):
         LstmConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("seed", [1.5, "3"])
+def test_config_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got"):
+        LstmConfig(seed=seed)

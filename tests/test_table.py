@@ -52,6 +52,16 @@ def test_malformed_table_is_one_line_error(tmp_path, text, exact, error, message
     assert len(str(excinfo.value).splitlines()) == 1
 
 
+def test_an_error_about_a_long_field_quotes_only_its_start(tmp_path):
+    path = _table(tmp_path, "time,price\n60,1\n120," + "x" * 100_000 + "\n")
+    with pytest.raises(ValueError) as excinfo:
+        list(read_table(path, {"time": int64_field, "price": price_field}))
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}:3: column 'price': could not convert string to float: 'xxx")
+    assert message.endswith("... (100000 characters)")
+    assert len(message) < 200
+
+
 # each field rule on each field: the value it reads, or None where it
 # refuses the field with a ValueError
 _FIELDS = ("0", "-0.0", "nan", "inf", "1e309", "-1.0000001", "9" * 25)
