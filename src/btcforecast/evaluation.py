@@ -4,7 +4,7 @@ the plot-data files that `evaluate` writes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,49 +33,28 @@ def rmse(actual, predicted) -> float:
 
 @dataclass
 class ForecastReport:
-    """Per-model predictions in USD with error metrics and timings, and the
-    per-epoch training loss of models that have one (None otherwise)."""
+    """Per-model predictions in USD with timings, and the per-epoch training
+    loss of models that have one (None otherwise). mse and rmse are computed
+    from actual and predicted on construction, a dataclasses.replace too."""
 
     model_name: str
     times: np.ndarray
     actual: np.ndarray
     predicted: np.ndarray
-    mse: float
-    rmse: float
-    build_time_ms: float
-    train_or_fit_time_ms: float
+    build_time_ms: float = 0.0
+    train_or_fit_time_ms: float = 0.0
     losses: list[float] | None = None
+    mse: float = field(init=False)
+    rmse: float = field(init=False)
 
-    @classmethod
-    def create(
-        cls,
-        model_name: str,
-        times,
-        actual,
-        predicted,
-        build_time_ms: float = 0.0,
-        train_or_fit_time_ms: float = 0.0,
-        losses: list[float] | None = None,
-    ) -> "ForecastReport":
-        times = np.asarray(times)
-        actual = np.asarray(actual, dtype=np.float64)
-        predicted = np.asarray(predicted, dtype=np.float64)
-        if not (len(times) == len(actual) == len(predicted)):
-            raise ValueError("times/actual/predicted lengths differ")
-        if len(actual) == 0:
-            raise ValueError("empty predictions")
-        err = mse(actual, predicted)
-        return cls(
-            model_name=model_name,
-            times=times,
-            actual=actual,
-            predicted=predicted,
-            mse=err,
-            rmse=math.sqrt(err),
-            build_time_ms=float(build_time_ms),
-            train_or_fit_time_ms=float(train_or_fit_time_ms),
-            losses=losses,
-        )
+    def __post_init__(self):
+        self.times = np.asarray(self.times)
+        self.actual = np.asarray(self.actual, dtype=np.float64)
+        self.predicted = np.asarray(self.predicted, dtype=np.float64)
+        self.mse = mse(self.actual, self.predicted)
+        if len(self.times) != len(self.actual):
+            raise ValueError(f"{len(self.times)} times for {len(self.actual)} predictions")
+        self.rmse = math.sqrt(self.mse)
 
 
 def naive_baseline(times, values, train_fraction: float = 0.7) -> ForecastReport:
@@ -85,7 +64,7 @@ def naive_baseline(times, values, train_fraction: float = 0.7) -> ForecastReport
     values = np.asarray(values, dtype=np.float64)
     n_train, _ = train_test_counts(len(values), train_fraction)
     predicted = values[n_train - 1 : -1]
-    return ForecastReport.create("naive_last_value", times[n_train:], values[n_train:], predicted)
+    return ForecastReport("naive_last_value", times[n_train:], values[n_train:], predicted)
 
 
 @dataclass

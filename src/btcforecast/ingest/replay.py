@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -44,7 +44,9 @@ class ReplayServer:
             def do_GET(self):
                 outer._serve(self)
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
+        # one thread serves every request, so _lock guards only against
+        # reset() on the caller's thread
+        self._server = HTTPServer((host, port), Handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -66,10 +68,10 @@ class ReplayServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
+        if self._thread is not None:  # shutdown() waits for serve_forever to end
+            self._server.shutdown()
             self._thread.join(timeout=2)
+        self._server.server_close()
 
     def __enter__(self) -> "ReplayServer":
         return self.start()

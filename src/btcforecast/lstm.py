@@ -385,10 +385,6 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
     """Full-batch MAE training: one Adam step per epoch, deterministic per seed."""
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
-    if dataset.inputs.shape[2] != config.n_features:
-        raise ValueError(
-            f"dataset has {dataset.inputs.shape[2]} features, config expects {config.n_features}"
-        )
     if dataset.inputs.shape[1] != config.lag:
         raise ValueError(f"dataset lag {dataset.inputs.shape[1]} != config lag {config.lag}")
 
@@ -419,8 +415,13 @@ def train(config: LstmConfig, dataset: SupervisedDataset) -> tuple[LstmModel, Tr
 
 
 def predict_series(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:
-    """One prediction per sample, inverse-scaled to original USD units."""
-    return unscale_column(predict_scaled(model, dataset), dataset.scaler, "price")
+    """One prediction per sample, inverse-scaled to original USD units. A
+    non-finite one raises TrainingDiverged: parameters that training left
+    finite can still overflow the forecast, in scaled units or on unscaling."""
+    predicted = unscale_column(predict_scaled(model, dataset), dataset.scaler, "price")
+    if not np.isfinite(predicted).all():
+        raise TrainingDiverged("non-finite forecast from the trained model: training diverged")
+    return predicted
 
 
 def predict_scaled(model: LstmModel, dataset: SupervisedDataset) -> np.ndarray:

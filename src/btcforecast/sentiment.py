@@ -88,6 +88,8 @@ def _check_entry(word: str, weight: float) -> None:
     # emoticon) would never score
     if tokenize(word) != [word]:
         raise ValueError(f"bad lexicon key {word!r}: not a token that a post can produce")
+    if word in load_stopwords():  # process_post drops stopwords before scoring
+        raise ValueError(f"bad lexicon key {word!r}: a stopword, which is never scored")
     if not -1.0 <= weight <= 1.0:
         raise ValueError(f"lexicon weight out of range for {word!r}: {weight}")
 

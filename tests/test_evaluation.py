@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from btcforecast.synthetic import random_walk
 def _report(name, rmse_value, build_ms=1.0, fit_ms=2.0):
     actual = np.array([0.0, 0.0])
     predicted = np.array([rmse_value, -rmse_value])
-    return ForecastReport.create(name, [1, 2], actual, predicted, build_ms, fit_ms)
+    return ForecastReport(name, [1, 2], actual, predicted, build_ms, fit_ms)
 
 
 class TestErrors:
@@ -61,7 +62,17 @@ class TestReport:
 
     def test_rejects_empty_predictions(self):
         with pytest.raises(ValueError):
-            ForecastReport.create("m", [], [], [])
+            ForecastReport("m", [], [], [])
+
+    def test_rejects_times_of_another_length(self):
+        with pytest.raises(ValueError, match="1 times for 2 predictions"):
+            ForecastReport("m", [10], [1.0, 2.0], [1.0, 2.0])
+
+    def test_replace_recomputes_the_errors(self):
+        rep = ForecastReport("m", [10, 20], [1.0, 2.0], [1.0, 2.0])
+        moved = dataclasses.replace(rep, predicted=[2.0, 4.0])  # errors 1 and 2
+        assert (rep.mse, rep.rmse) == (0.0, 0.0)
+        assert (moved.mse, moved.rmse) == (2.5, math.sqrt(2.5))
 
 
 class TestNaiveBaseline:
@@ -135,7 +146,7 @@ class TestCompare:
 
 class TestPlotData:
     def test_forecast_overlay_schema_and_roundtrip(self, tmp_path):
-        rep = ForecastReport.create("m", [10, 20], [1.5, 2.5], [1.25, 2.75])
+        rep = ForecastReport("m", [10, 20], [1.5, 2.5], [1.25, 2.75])
         path = emit_plot_data("forecast_overlay", rep, tmp_path / "f.csv")
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
@@ -146,7 +157,7 @@ class TestPlotData:
         assert [float(r["predicted"]) for r in rows] == [1.25, 2.75]
 
     def test_train_loss_schema(self, tmp_path):
-        rep = ForecastReport.create("m", [10, 20], [1.5, 2.5], [1.25, 2.75], losses=[0.5, 0.25, 0.125])
+        rep = ForecastReport("m", [10, 20], [1.5, 2.5], [1.25, 2.75], losses=[0.5, 0.25, 0.125])
         path = emit_plot_data("train_loss", rep, tmp_path / "l.csv")
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
@@ -169,10 +180,10 @@ class TestPlotData:
             emit_plot_data("pie_chart", None, tmp_path / "x.csv")
 
     @pytest.mark.parametrize("kind, inputs", [
-        ("train_loss", ForecastReport.create("naive", [10], [1.5], [1.25])),  # no loss curve
+        ("train_loss", ForecastReport("naive", [10], [1.5], [1.25])),  # no loss curve
         ("train_loss", [0.5, 0.25]),
         ("forecast_overlay", MergedSeries([1], [5.0], [0.0])),
-        ("normalized_series", ForecastReport.create("m", [10], [1.5], [1.25])),
+        ("normalized_series", ForecastReport("m", [10], [1.5], [1.25])),
     ])
     def test_inputs_of_another_kind_are_rejected(self, tmp_path, kind, inputs):
         with pytest.raises(ValueError, match=repr(kind)):

@@ -23,6 +23,7 @@ from btcforecast.ingest import (
     FetchError,
     OutOfOrderError,
     RecordLog,
+    ReplayServer,
     SchemaError,
     SourceConfig,
     fetch_once,
@@ -466,6 +467,29 @@ class TestRecordLog:
         with RecordLog(tmp_path / "quotes.csv", BLOCKCHAIN_QUOTES) as log:
             log.append(snap)
             assert log.read() == [snap]
+
+
+class TestReplayServer:
+    def test_serving_several_requests_starts_no_thread(self, replay_server, monkeypatch):
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        cfg = _config(replay_server, BITSTAMP_TICKER)
+        for _ in range(5):
+            fetch_once(cfg)
+        assert started == []
+
+    def test_stop_before_start_returns(self, fixtures_dir):
+        server = ReplayServer(fixtures_dir)
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
 
 
 class TestFetchOnce:

@@ -387,7 +387,7 @@ class TestTrain:
 
     def test_feature_mismatch_rejected(self):
         ds = _sine_dataset(features=PRICE_AND_SENTIMENT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="model expects 1 features, got 2"):
             train(LstmConfig(n_features=1, hidden_size=4, lag=4, epochs=1), ds)
 
     def test_divergence_aborts(self):
@@ -431,6 +431,15 @@ class TestPredict:
         model, _ = train(cfg, ds)
         training = lstm._Workspace(model, np.asarray(ds.inputs, dtype=np.float64))
         assert np.array_equal(lstm.predict_scaled(model, ds), lstm._forward_batch(model, training))
+
+    @pytest.mark.parametrize("bias", [np.inf, 1e308])
+    def test_a_non_finite_forecast_raises(self, bias):
+        # inf is non-finite in scaled units already; 1e308 only once it is
+        # unscaled (times a span of 3000 USD)
+        model = _zero_model(hidden=4, features=1, lag=4)
+        model.bd[:] = bias
+        with np.errstate(over="ignore"), pytest.raises(TrainingDiverged, match="non-finite forecast"):
+            predict_series(model, _sine_dataset())
 
     def test_unscaling_consistency(self):
         ds = _sine_dataset()

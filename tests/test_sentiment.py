@@ -240,6 +240,15 @@ class TestLexicon:
         with pytest.raises(ValueError, match=re.escape("lex.csv:1: bad lexicon key " + repr("\ufeffgood"))):
             Lexicon.from_file(path)
 
+    def test_rejects_a_stopword_key(self, tmp_path):
+        # process_post drops "the" before scoring, so it could never score
+        with pytest.raises(ValueError, match=re.escape("bad lexicon key 'the': a stopword")):
+            Lexicon({"the": 0.5})
+        path = tmp_path / "lex.csv"
+        path.write_text("good,0.5\nthe,0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape("lex.csv:2: bad lexicon key 'the'")):
+            Lexicon.from_file(path)
+
     def test_from_file_roundtrip(self, tmp_path):
         path = tmp_path / "lex.csv"
         path.write_text("alpha,0.5\nbeta,-0.25\n", encoding="utf-8")

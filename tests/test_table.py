@@ -106,9 +106,9 @@ def _writers():
     write_table; the bytes were recorded before the writers shared it."""
     series = MergedSeries([60, 120, 180], [6500.5, math.nan, 1 / 3], [0.1, -1.0, 0.0])
     records = [(5, 0.7, "Positive"), (9, -1 / 3, "Negative")]
-    report = ForecastReport.create("arima(1,1,1)", [60, 120], [1.5, 0.1], [1.25, 0.2], 0.5, 12.25)
-    naive = ForecastReport.create("naive_last_value", [60, 120], [1.5, 0.1], [1.5, 1.5])
-    trained = ForecastReport.create("lstm_single", [60, 120], [1.5, 0.1], [1.25, 0.2], losses=[0.5, 1e-7, 2 / 3])
+    report = ForecastReport("arima(1,1,1)", [60, 120], [1.5, 0.1], [1.25, 0.2], 0.5, 12.25)
+    naive = ForecastReport("naive_last_value", [60, 120], [1.5, 0.1], [1.5, 1.5])
+    trained = ForecastReport("lstm_single", [60, 120], [1.5, 0.1], [1.25, 0.2], losses=[0.5, 1e-7, 2 / 3])
     table = compare([report, naive])
     merged = b"time,price,sentiment\n60,6500.5,0.1\n120,,-1.0\n180,0.3333333333333333,0.0\n"
     return [
